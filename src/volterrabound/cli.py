@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .certificate import (
     Certificate,
+    InequalityData,
     derive_inequality,
     search_exponential,
     verify_solution_bound,
@@ -83,13 +84,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _certify_pipeline(
     spec: ProblemSpec, t_max: float, u_max: float
-) -> tuple[ValidationReport, Certificate]:
+) -> tuple[ValidationReport, Certificate, InequalityData]:
     report = validate_decay(spec, t_max=t_max, u_max=u_max)
     if not report.passed:
         log.info("decay hypotheses failed numerical validation")
     data = derive_inequality(spec)
     cert = search_exponential(data, t_max=t_max)
-    return report, cert
+    return report, cert, data
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -111,7 +112,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     spec = load_problem(args.problem)
-    report, cert = _certify_pipeline(spec, args.t_max, args.u_max)
+    report, cert, _ = _certify_pipeline(spec, args.t_max, args.u_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "certificate.json", {"validation": report.as_dict(), "certificate": cert.to_dict()})
@@ -119,12 +120,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         print(f"certified: |u(t)| <= {cert.to_dict()['bound']}")
         return _EXIT_OK
     if not cert.certified:
-        detail = cert.verdict.reason
-        margin = cert.margin_min
-        if margin is not None:
-            print(f"no certificate: {detail} (best margin {margin:.6g})")
-        else:
-            print(f"no certificate: {detail}")
+        print(f"no certificate: {cert.verdict.reason}")
     if not report.passed:
         failed = [c.name for c in report.checks if not c.passed]
         print(f"decay hypotheses failed validation: {', '.join(failed)}")
@@ -135,7 +131,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_problem(args.problem)
     grid = Grid(t_end=args.t_end, h=args.step)
     traj = solve(spec, grid)
-    report, cert = _certify_pipeline(spec, args.t_max, args.u_max)
+    report, cert, data = _certify_pipeline(spec, args.t_max, args.u_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
@@ -175,7 +171,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _EXIT_REFUSED
 
     bound_report = verify_solution_bound(traj, cert)
-    data = derive_inequality(spec)
     majorant = propagate_majorant(data, grid)
     payload["bound_check"] = bound_report.as_dict()
     payload["majorant_status"] = _status_token_dict(majorant.status)
@@ -232,7 +227,7 @@ def cmd_demo_blowup(args: argparse.Namespace) -> int:
     if isinstance(traj.status, BlowUp):
         print(f"solver: blow-up detected near t={traj.status.t_star:.2f}")
 
-    report, cert = _certify_pipeline(spec, t_max=50.0, u_max=10.0)
+    report, cert, _ = _certify_pipeline(spec, t_max=50.0, u_max=10.0)
     _write_json(out / "certificate.json", {"validation": report.as_dict(), "certificate": cert.to_dict()})
     if not cert.certified:
         print(f"certificate search: refused ({cert.verdict.reason})")
@@ -302,6 +297,12 @@ def main(argv=None) -> int:
         return _EXIT_ERROR
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return _EXIT_ERROR
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return _EXIT_ERROR
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 
 

@@ -11,8 +11,10 @@ that re-parses to an equivalent tree.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Union
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -74,9 +76,13 @@ class EvalDomainError(ExprError):
     non-finite).  Carries the offending node."""
 
     def __init__(self, node: "Expr", message: str):
+        super().__init__(message)
         self.node = node
         self.message = message
-        super().__init__(f"{message} in {to_text(node)}")
+
+    def __str__(self) -> str:
+        # Rendered on demand: the solver catches and discards most of these.
+        return f"{self.message} in {to_text(self.node)}"
 
 
 class NonDifferentiableError(ExprError):
@@ -98,6 +104,16 @@ class Expr:
 
     def __str__(self) -> str:
         return to_text(self)
+
+    # The compiled evaluators live in the instance __dict__, outside the
+    # dataclass fields, so ==, hash and repr never see them.
+    @cached_property
+    def _scalar(self) -> Callable:
+        return _compile(self, _SCALAR)
+
+    @cached_property
+    def _array(self) -> Callable:
+        return _compile(self, _ARRAY)
 
 
 @dataclass(frozen=True)
@@ -277,7 +293,7 @@ class _Parser:
             if variables(exponent):
                 raise ExprSyntaxError(exp_pos, "pow exponent must be a constant expression")
             try:
-                value = _eval_scalar(exponent, {})
+                value = _compile(exponent, _SCALAR)({})
             except ExprError:
                 raise ExprSyntaxError(exp_pos, "pow exponent does not evaluate to a finite constant") from None
             return Binary("pow", base, Constant(value))
@@ -330,154 +346,121 @@ def evaluate(e: Expr, bindings: Mapping[str, Binding]):
     """Evaluate ``e`` with variable bindings.
 
     Bindings may be scalars or numpy arrays (broadcast elementwise).
-    The result never silently carries NaN or Inf; any excursion outside
-    the finite reals raises :class:`EvalDomainError` naming the node
-    where it happened.
+    Scalars are computed with :mod:`math`, arrays with numpy; each tree
+    is compiled once per kind and the result is kept on the node.  The
+    result never silently carries NaN or Inf; any excursion outside the
+    finite reals raises :class:`EvalDomainError` naming the node where
+    it happened.
     """
     if any(isinstance(v, np.ndarray) for v in bindings.values()):
-        return _eval_array(e, bindings)
-    return _eval_scalar(e, bindings)
+        with np.errstate(all="ignore"):  # overflow is reported per node instead
+            return e._array(bindings)
+    return e._scalar(bindings)
 
 
-def _eval_scalar(e: Expr, b: Mapping[str, Binding]) -> float:
+class _Backend(NamedTuple):
+    """How one kind of value is computed and checked."""
+
+    functions: Mapping[str, Callable]  # every unary op, and "pow"
+    any: Callable  # does an elementwise test hold anywhere
+    finite: Callable  # is every element finite
+    read: Callable  # converts one binding
+
+
+_SCALAR = _Backend(
+    {"neg": operator.neg, "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
+     "atan": math.atan, "sqrt": math.sqrt, "abs": abs, "pow": math.pow},
+    bool,
+    math.isfinite,
+    float,
+)
+_ARRAY = _Backend(
+    {"neg": operator.neg, "exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+     "atan": np.arctan, "sqrt": np.sqrt, "abs": np.abs, "pow": np.power},
+    np.any,
+    lambda v: np.isfinite(v).all(),
+    lambda v: np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v),
+)
+
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+# Unary ops whose result is checked for overflow, with the domain rules
+# checked on the operand first, each as (comparison with 0.0 that puts
+# the operand outside the domain, message).
+_UNARY_RULES = {
+    "exp": (),
+    "log": ((operator.le, "log of a non-positive value"),),
+    "sqrt": ((operator.lt, "sqrt of a negative value"),),
+}
+_ZERO_BASE = (operator.eq, "zero base with a negative exponent")
+_NEGATIVE_BASE = (operator.lt, "negative base with a non-integer exponent")
+
+
+def _compile(e: Expr, k: _Backend) -> Callable:
+    """Turn ``e`` into a function of the bindings.
+
+    Each node becomes one closure that calls its children's closures
+    directly and checks its own domain rules, so evaluation costs one
+    Python frame per tree level, as a recursive interpreter would.
+    """
     if isinstance(e, Constant):
-        return e.value
+        value = e.value
+        return lambda b: value
+    anywhere, finite = k.any, k.finite
     if isinstance(e, Variable):
-        try:
-            v = float(b[e.name])
-        except KeyError:
-            raise UnboundVariableError(e.name) from None
-        if not math.isfinite(v):
-            raise EvalDomainError(e, f"non-finite binding for '{e.name}'")
-        return v
-    if isinstance(e, Unary):
-        x = _eval_scalar(e.child, b)
-        op = e.op
-        if op == "neg":
-            return -x
-        if op == "exp":
+        name, read = e.name, k.read
+
+        def variable(b):
             try:
-                return math.exp(x)
-            except OverflowError:
-                raise EvalDomainError(e, "overflow") from None
-        if op == "log":
-            if x <= 0.0:
-                raise EvalDomainError(e, "log of a non-positive value")
-            return math.log(x)
-        if op == "sin":
-            return math.sin(x)
-        if op == "cos":
-            return math.cos(x)
-        if op == "atan":
-            return math.atan(x)
-        if op == "sqrt":
-            if x < 0.0:
-                raise EvalDomainError(e, "sqrt of a negative value")
-            return math.sqrt(x)
-        if op == "abs":
-            return abs(x)
-    if isinstance(e, Binary):
-        l = _eval_scalar(e.left, b)
-        r = _eval_scalar(e.right, b)
-        op = e.op
-        if op == "add":
-            v = l + r
-        elif op == "sub":
-            v = l - r
-        elif op == "mul":
-            v = l * r
-        elif op == "div":
-            if r == 0.0:
+                v = read(b[name])
+            except KeyError:
+                raise UnboundVariableError(name) from None
+            if not finite(v):
+                array = isinstance(v, np.ndarray)
+                raise EvalDomainError(e, "overflow" if array else f"non-finite binding for '{name}'")
+            return v
+
+        return variable
+    if isinstance(e, Binary) and e.op != "pow":
+        left, right = _compile(e.left, k), _compile(e.right, k)
+        fn, divides = _ARITHMETIC[e.op], e.op == "div"
+
+        def arithmetic(b):
+            x, y = left(b), right(b)
+            if divides and anywhere(y == 0.0):
                 raise EvalDomainError(e, "division by zero")
-            v = l / r
-        else:  # pow, constant exponent by construction
-            if l == 0.0 and r < 0.0:
-                raise EvalDomainError(e, "zero base with a negative exponent")
-            if l < 0.0 and not float(r).is_integer():
-                raise EvalDomainError(e, "negative base with a non-integer exponent")
-            try:
-                v = math.pow(l, r)
-            except (OverflowError, ValueError):
-                raise EvalDomainError(e, "overflow") from None
-        if not math.isfinite(v):
+            v = fn(x, y)
+            if not finite(v):
+                raise EvalDomainError(e, "overflow")
+            return v
+
+        return arithmetic
+    if isinstance(e, Binary):  # pow; the exponent is a Constant by construction
+        c = e.right.value
+        operand, fn, extra = _compile(e.left, k), k.functions["pow"], (c,)
+        rules = ([_ZERO_BASE] if c < 0.0 else []) + ([] if c.is_integer() else [_NEGATIVE_BASE])
+    elif isinstance(e, Unary):
+        operand, fn, extra = _compile(e.child, k), k.functions[e.op], ()
+        if e.op not in _UNARY_RULES:
+            return lambda b: fn(operand(b))
+        rules = _UNARY_RULES[e.op]
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def checked(b):
+        x = operand(b)
+        for outside, message in rules:
+            if anywhere(outside(x, 0.0)):
+                raise EvalDomainError(e, message)
+        try:
+            v = fn(x, *extra)
+        except (OverflowError, ValueError):  # math raises where numpy returns inf
+            raise EvalDomainError(e, "overflow") from None
+        if not finite(v):
             raise EvalDomainError(e, "overflow")
         return v
-    raise TypeError(f"not an expression node: {e!r}")
 
-
-def _require_finite(e: Expr, v) -> None:
-    if not np.all(np.isfinite(v)):
-        raise EvalDomainError(e, "overflow")
-
-
-def _eval_array(e: Expr, b: Mapping[str, Binding]):
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Variable):
-        try:
-            v = b[e.name]
-        except KeyError:
-            raise UnboundVariableError(e.name) from None
-        if isinstance(v, np.ndarray):
-            v = np.asarray(v, dtype=float)
-            _require_finite(e, v)
-            return v
-        v = float(v)
-        if not math.isfinite(v):
-            raise EvalDomainError(e, f"non-finite binding for '{e.name}'")
-        return v
-    if isinstance(e, Unary):
-        x = _eval_array(e.child, b)
-        op = e.op
-        if op == "neg":
-            return -x
-        if op == "exp":
-            with np.errstate(over="ignore"):
-                v = np.exp(x)
-            _require_finite(e, v)
-            return v
-        if op == "log":
-            if np.any(np.asarray(x) <= 0.0):
-                raise EvalDomainError(e, "log of a non-positive value")
-            return np.log(x)
-        if op == "sin":
-            return np.sin(x)
-        if op == "cos":
-            return np.cos(x)
-        if op == "atan":
-            return np.arctan(x)
-        if op == "sqrt":
-            if np.any(np.asarray(x) < 0.0):
-                raise EvalDomainError(e, "sqrt of a negative value")
-            return np.sqrt(x)
-        if op == "abs":
-            return np.abs(x)
-    if isinstance(e, Binary):
-        l = _eval_array(e.left, b)
-        r = _eval_array(e.right, b)
-        op = e.op
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            if op == "add":
-                v = l + r
-            elif op == "sub":
-                v = l - r
-            elif op == "mul":
-                v = l * r
-            elif op == "div":
-                if np.any(np.asarray(r) == 0.0):
-                    raise EvalDomainError(e, "division by zero")
-                v = l / r
-            else:  # pow
-                c = float(np.asarray(r))
-                la = np.asarray(l)
-                if c < 0.0 and np.any(la == 0.0):
-                    raise EvalDomainError(e, "zero base with a negative exponent")
-                if not c.is_integer() and np.any(la < 0.0):
-                    raise EvalDomainError(e, "negative base with a non-integer exponent")
-                v = np.power(l, c)
-        _require_finite(e, v)
-        return v
-    raise TypeError(f"not an expression node: {e!r}")
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +483,7 @@ def _is_one(e: Expr) -> bool:
 def _fold_binary(op: str, a: Constant, b: Constant) -> Expr | None:
     probe = Binary(op, a, b)
     try:
-        return Constant(_eval_scalar(probe, {}))
+        return Constant(_compile(probe, _SCALAR)({}))
     except ExprError:
         return None  # folding would hide a domain error; keep the node
 

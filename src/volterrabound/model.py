@@ -256,7 +256,8 @@ def _check_kernel_diagonal(spec, env_k, ts, us, two_p) -> HypothesisCheck:
         av = np.abs(np.asarray(evaluate(spec.a, {"t": tt, "s": tt, "u": uu})))
     except EvalDomainError as exc:
         return _failed_check(name, exc)
-    bound = env_k.c1 * np.exp(-env_k.b1 * tt) * (1.0 + np.abs(uu) ** two_p)
+    with np.errstate(over="ignore"):  # an infinite envelope bounds anything
+        bound = env_k.c1 * np.exp(-env_k.b1 * tt) * (1.0 + np.abs(uu) ** two_p)
     margins = np.broadcast_to(bound - av, (len(ts), len(us)))
     i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
     m = float(margins[i, j])

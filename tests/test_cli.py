@@ -142,3 +142,53 @@ def test_outputs_byte_identical_between_runs(tmp_path):
     assert run(args + ["--out", str(out2)]) == 0
     for name in ("trajectory.csv", "bound.csv", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_certify_refusal_prints_margin_once(tmp_path, capsys):
+    cubic = {
+        "f": "0.5*exp(-t)", "a": "0.2*exp(-(2*t+s))*u^3",
+        "c0": 1, "b0": 1, "c1": 0.2, "b1": 3, "c2": 0.6, "b": 2, "p": 1.5,
+    }
+    problem = write_problem(tmp_path / "p.json", cubic)
+    assert run(["certify", "--problem", problem, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr().out
+    assert captured.count("best margin") == 1
+    payload = json.loads((tmp_path / "certificate.json").read_text())
+    assert payload["certificate"]["margin_min"] < 0.0
+
+
+def _assert_one_line_error(capsys, code, prefix):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+def test_deeply_nested_forcing_is_one_line_error(tmp_path, capsys):
+    deep = dict(ATAN_PROBLEM, f="(" * 5000 + "1" + ")" * 5000)
+    problem = write_problem(tmp_path / "p.json", deep)
+    code = run(["certify", "--problem", problem, "--out", str(tmp_path)])
+    _assert_one_line_error(capsys, code, "error: expression nested too deeply")
+
+
+def test_long_sum_too_deep_to_differentiate_is_one_line_error(tmp_path, capsys):
+    long_sum = dict(ATAN_PROBLEM, f="+".join(["exp(-t)"] * 2000))
+    problem = write_problem(tmp_path / "p.json", long_sum)
+    code = run(["certify", "--problem", problem, "--out", str(tmp_path)])
+    _assert_one_line_error(capsys, code, "error: expression nested too deeply")
+
+
+def test_overflowing_envelope_exponent_is_one_line_error(tmp_path, capsys):
+    problem = write_problem(tmp_path / "p.json", dict(ATAN_PROBLEM, p=1e300))
+    code = run(["certify", "--problem", problem, "--out", str(tmp_path)])
+    _assert_one_line_error(capsys, code, "error: numeric overflow: ")
+
+
+def test_verify_long_sum_forcing(tmp_path, capsys):
+    # A 900-deep tree of additions: evaluation must stay within the
+    # default recursion limit, one frame per tree level.
+    terms = 900
+    long_sum = dict(ATAN_PROBLEM, f="+".join(["exp(-t)"] * terms), c0=2.5 * terms)
+    problem = write_problem(tmp_path / "p.json", long_sum)
+    args = ["verify", "--problem", problem, "--t-end", "0.05", "--step", "0.01"]
+    assert run(args + ["--out", str(tmp_path)]) == 0
+    assert "bound holds" in capsys.readouterr().out

@@ -130,10 +130,33 @@ def test_unbound_variable():
     ],
 )
 def test_domain_errors(text, bindings):
-    with pytest.raises(EvalDomainError):
-        evaluate(parse(text), bindings)
-    with pytest.raises(EvalDomainError):
-        evaluate(parse(text), {k: np.array([1.0, v]) for k, v in bindings.items()})
+    e = parse(text)
+    with pytest.raises(EvalDomainError) as scalar:
+        evaluate(e, bindings)
+    with pytest.raises(EvalDomainError) as array:
+        evaluate(e, {k: np.array([1.0, v]) for k, v in bindings.items()})
+    assert scalar.value.node == array.value.node
+
+
+def test_domain_error_renders_its_node_only_when_printed(monkeypatch):
+    import volterrabound.expr as expr_module
+
+    calls = []
+
+    def counting_to_text(e):
+        calls.append(e)
+        return to_text(e)
+
+    monkeypatch.setattr(expr_module, "to_text", counting_to_text)
+    e = parse("t + 1/(1-t)")
+    try:
+        evaluate(e, {"t": 1.0})
+    except EvalDomainError as exc:
+        caught = exc
+    assert calls == []
+    assert str(caught) == "division by zero in (1.0 / (1.0 - t))"
+    assert caught.message == "division by zero"
+    assert calls[0] is caught.node
 
 
 def test_domain_error_carries_node():
