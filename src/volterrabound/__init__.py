@@ -18,13 +18,10 @@ from .certificate import (
     ExponentComparison,
     ExponentialDecayData,
     ExponentialWeight,
-    GridOnly,
     InequalityData,
-    InvalidWeightError,
     PowerDecayData,
     PowerWeight,
     Refused,
-    TabulatedWeight,
     check_weight,
     derive_inequality,
     make_exponential_data,
@@ -130,14 +127,11 @@ __all__ = [
     "PowerDecayData",
     "ExponentialWeight",
     "PowerWeight",
-    "TabulatedWeight",
     "Certificate",
     "Certified",
     "Refused",
     "ExponentComparison",
-    "GridOnly",
     "BoundReport",
-    "InvalidWeightError",
     "derive_inequality",
     "make_exponential_data",
     "make_power_data",

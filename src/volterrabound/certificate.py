@@ -13,18 +13,19 @@ Trajectories of the integral-equation solver inherit the bound because
 |u(t)| satisfies exactly this inequality when the problem's decay
 envelopes hold.
 
-Two closed-form weight families are searched.  For exponential decay
-data the candidate w(t) = coefficient * exp(-rate*t) reduces, after
-dividing by the right side, to a sum of exponentials staying below 1;
-with every exponent non-positive the supremum sits at t = 0 and the
-whole condition collapses to the scalar level check
+For exponential decay data the weight w(t) = coefficient * exp(-rate*t)
+reduces, after dividing by the right side, to a sum of exponentials
+staying below 1; with every exponent non-positive the supremum sits at
+t = 0 and the whole condition collapses to the scalar level check
 
     h(c) = (c0+c1+c2)*c + (c1+c2)*c**(1-2p) <= rate.
 
-Power-law decay data admits the same argument for
-w(t) = coefficient * (1+t)**(-rate) in log-time.  Tabulated weights are
-checked on the grid only, and the certificate records that weaker
-guarantee.
+Power-law decay data is the same problem in log-time tau = log(1+t):
+the change of variable turns a term d * (1+t)**(-e) into
+d * exp(-(e-1)*tau) and w(t) = coefficient * (1+t)**(-rate) into the
+exponential weight in tau.  One margin, one tail check and one
+closed-form search serve both families, and every certificate rests on
+the exponent comparison, which covers the whole half line.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .expr import (
     Expr,
     Unary,
     Variable,
-    differentiate,
     evaluate,
     to_text,
 )
@@ -51,17 +51,14 @@ from .solver import Completed, Trajectory
 __all__ = [
     "ExponentialWeight",
     "PowerWeight",
-    "TabulatedWeight",
     "ExponentialDecayData",
     "PowerDecayData",
     "InequalityData",
     "Certified",
     "Refused",
     "ExponentComparison",
-    "GridOnly",
     "Certificate",
     "BoundReport",
-    "InvalidWeightError",
     "derive_inequality",
     "make_exponential_data",
     "make_power_data",
@@ -71,16 +68,11 @@ __all__ = [
     "verify_solution_bound",
 ]
 
-RATE_GRID = np.logspace(-3.0, 3.0, 601)  # candidate growth rates, log-spaced
-_GOLDEN_TOL = 1e-10
+# Candidate growth rates for p <= 1/2, log-spaced; taking the first one at
+# or above the level keeps h(c) <= rate off equality.
+RATE_GRID = np.logspace(-3.0, 3.0, 601)
 _COEFF_FLOOR = 1e-8  # left end of the coefficient bracket in searches
 _COEFF_CAP = 1e8  # right end when the start condition puts no limit
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-class InvalidWeightError(ValueError):
-    """The candidate weight is not strictly positive on the grid."""
 
 
 # ---------------------------------------------------------------------------
@@ -146,38 +138,7 @@ class PowerWeight:
         return Binary("div", grow, Constant(self.coefficient))
 
 
-@dataclass(frozen=True)
-class TabulatedWeight:
-    """Arbitrary positive weight given as an expression in t.
-
-    The derivative comes from symbolic differentiation; condition checks
-    against tabulated weights are grid-only and the certificate says so.
-    """
-
-    expr: Expr
-
-    def __post_init__(self):
-        from .expr import variables
-
-        extra = variables(self.expr) - {"t"}
-        if extra:
-            raise ValueError(f"tabulated weight may depend on t only; found {sorted(extra)}")
-
-    def values(self, t):
-        return evaluate(self.expr, {"t": np.asarray(t, dtype=float)})
-
-    def derivative_values(self, t):
-        return evaluate(differentiate(self.expr, "t"), {"t": np.asarray(t, dtype=float)})
-
-    def bound_values(self, t):
-        with np.errstate(divide="ignore", over="ignore"):
-            return 1.0 / np.asarray(self.values(t), dtype=float)
-
-    def bound_expr(self) -> Expr:
-        return Binary("div", Constant(1.0), self.expr)
-
-
-WeightFamily = Union[ExponentialWeight, PowerWeight, TabulatedWeight]
+WeightFamily = Union[ExponentialWeight, PowerWeight]
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +180,8 @@ class InequalityData:
     ``gain`` is an expression in (t, u) where u stands for the state g;
     it must be non-negative and non-decreasing in u on the range checked
     (verified by sampling in :func:`check_weight`).  ``exp_data`` and
-    ``power_data`` carry the structured decay constants when the data
-    has that closed form, enabling exact tail handling.
+    ``power_data`` carry the structured decay constants that the margin
+    and the exact tail check of each weight family are computed from.
     """
 
     damping: Expr
@@ -376,21 +337,11 @@ class ExponentComparison:
 
 
 @dataclass(frozen=True)
-class GridOnly:
-    """No closed-form tail argument; the margin was checked on [0, t_max] only."""
-
-    t_max: float
-
-
-TailCheck = Union[ExponentComparison, GridOnly]
-
-
-@dataclass(frozen=True)
 class Certificate:
     weight: Optional[WeightFamily]
     verdict: Union[Certified, Refused]
     margin_min: Optional[float]
-    tail_check: TailCheck
+    tail_check: ExponentComparison
     bound: Optional[Expr]
 
     @property
@@ -409,23 +360,18 @@ class Certificate:
             "margin_min": _json_float(self.margin_min),
             "bound": to_text(self.bound) if self.bound is not None else None,
         }
-        if isinstance(self.weight, (ExponentialWeight, PowerWeight)):
+        if self.weight is not None:
             out["coefficient"] = self.weight.coefficient
             out["rate"] = self.weight.rate
-        elif isinstance(self.weight, TabulatedWeight):
-            out["weight"] = to_text(self.weight.expr)
         if isinstance(self.verdict, Certified):
             out["strict"] = self.verdict.strict
         else:
             out["reason"] = self.verdict.reason
-        if isinstance(self.tail_check, ExponentComparison):
-            out["tail_check"] = {
-                "kind": "exponent_comparison",
-                "exponents": list(self.tail_check.exponents),
-                "passed": self.tail_check.passed,
-            }
-        else:
-            out["tail_check"] = {"kind": "grid_only", "t_max": self.tail_check.t_max}
+        out["tail_check"] = {
+            "kind": "exponent_comparison",
+            "exponents": list(self.tail_check.exponents),
+            "passed": self.tail_check.passed,
+        }
         return out
 
 
@@ -434,8 +380,6 @@ def _family_name(weight: Optional[WeightFamily]) -> Optional[str]:
         return "exponential"
     if isinstance(weight, PowerWeight):
         return "power"
-    if isinstance(weight, TabulatedWeight):
-        return "tabulated"
     return None
 
 
@@ -445,83 +389,90 @@ def _json_float(x: Optional[float]):
     return x if math.isfinite(x) else repr(x)
 
 
+def _refusal(reason: str, margin: Optional[float], exponents: tuple) -> Certificate:
+    return Certificate(
+        weight=None,
+        verdict=Refused(reason),
+        margin_min=margin,
+        tail_check=ExponentComparison(exponents),
+        bound=None,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Margin evaluation
 # ---------------------------------------------------------------------------
 
 
-def _exp_reduction_terms(d: ExponentialDecayData, weight: ExponentialWeight):
-    """(coefficient, exponent) pairs of the normalized condition
-    sum_i C_i * exp(lambda_i * t) <= 1 for an exponential weight on
-    exponential data.  Inactive envelope terms are dropped."""
-    q, c = weight.rate, weight.coefficient
-    shrink = c ** (1.0 - 2.0 * d.p)
-    terms = []
-    if d.c0 > 0.0:
-        terms.append((d.c0 * c / q, -(d.b0 + q)))
-    if d.c1 > 0.0:
-        terms.append((d.c1 * c / q, -(d.b1 + q)))
-    if d.c2 > 0.0:
-        terms.append((d.c2 * c / q, -(d.b + q)))
-    if d.c1 > 0.0:
-        terms.append((d.c1 * shrink / q, (2.0 * d.p - 1.0) * q - d.b1))
-    if d.c2 > 0.0:
-        terms.append((d.c2 * shrink / q, (2.0 * d.p - 1.0) * q - d.b))
-    return terms
+def _log_time_data(d: PowerDecayData) -> ExponentialDecayData:
+    """Power data in log-time tau = log(1+t): the change of variable
+    multiplies each term by 1+t, and (1+t) * d * (1+t)**(-e) is
+    d * exp(-(e-1) * tau)."""
+    return ExponentialDecayData(
+        c0=d.d0, b0=d.e0 - 1.0, c1=d.d1, b1=d.e1 - 1.0, c2=d.d2, b=d.e2 - 1.0, p=d.p
+    )
 
 
-def _power_reduction_terms(d: PowerDecayData, weight: PowerWeight):
-    """Analogous pairs (D_i, sigma_i) for sum_i D_i * (1+t)**sigma_i <= 1."""
-    r, c = weight.rate, weight.coefficient
-    shrink = c ** (1.0 - 2.0 * d.p)
-    terms = []
-    if d.d0 > 0.0:
-        terms.append((d.d0 * c / r, 1.0 - r - d.e0))
-    if d.d1 > 0.0:
-        terms.append((d.d1 * c / r, 1.0 - r - d.e1))
-    if d.d2 > 0.0:
-        terms.append((d.d2 * c / r, 1.0 - r - d.e2))
-    if d.d1 > 0.0:
-        terms.append((d.d1 * shrink / r, (2.0 * d.p - 1.0) * r + 1.0 - d.e1))
-    if d.d2 > 0.0:
-        terms.append((d.d2 * shrink / r, (2.0 * d.p - 1.0) * r + 1.0 - d.e2))
-    return terms
+def _reduction_data(data: InequalityData, family: type) -> ExponentialDecayData:
+    """Exponential decay data in the weight family's own time variable:
+    t for exponential weights, tau = log(1+t) for power weights."""
+    if family is ExponentialWeight and data.exp_data is not None:
+        return data.exp_data
+    if family is PowerWeight and data.power_data is not None:
+        return _log_time_data(data.power_data)
+    kind = "exponential" if family is ExponentialWeight else "power-law"
+    raise ValueError(f"{family.__name__} needs {kind} decay data")
 
 
-def _margin_from_terms(terms, factor: np.ndarray, profile) -> np.ndarray:
-    """margin(t) = factor(t) * (1 - sum_i C_i * profile(exponent_i, t)).
+def _reduction_terms(d: ExponentialDecayData):
+    """(amplitude, state, slope, decay) for each active term of the
+    normalized condition of the weight c * exp(-q*t),
 
-    The factored form never produces NaN: factor > 0 may overflow to
+        sum_i amplitude_i * (c**(1-2p) if state_i else c) / q
+              * exp((slope_i * q - decay_i) * t) <= 1.
+
+    Drive terms have slope -1 and state terms slope 2p-1; inactive
+    envelope terms are dropped."""
+    pairs = ((d.c0, d.b0), (d.c1, d.b1), (d.c2, d.b))
+    drive = [(c, False, -1.0, decay) for c, decay in pairs if c > 0.0]
+    state = [(c, True, 2.0 * d.p - 1.0, decay) for c, decay in pairs[1:] if c > 0.0]
+    return drive + state
+
+
+def _tail_exponents(terms, rate: float) -> tuple[float, ...]:
+    return tuple(slope * rate - decay for _, _, slope, decay in terms)
+
+
+def _margin_factored(d: ExponentialDecayData, weight: WeightFamily, t: np.ndarray) -> np.ndarray:
+    """margin(t) = (q/c) * exp(q*tau) * (1 - normalized sum), with tau = t
+    for exponential weights and tau = log(1+t), divided by 1+t, for
+    power weights.
+
+    The factored form never produces NaN: the factor > 0 may overflow to
     inf, and the normalized sum is exactly zero at equality.
     """
-    total = np.zeros_like(factor)
+    power = isinstance(weight, PowerWeight)
+    tau = np.log1p(t) if power else t
+    q, c = weight.rate, weight.coefficient
+    shrink = c ** (1.0 - 2.0 * d.p)
+    total = np.zeros_like(tau)
     with np.errstate(over="ignore", invalid="ignore"):
-        for coef, exponent in terms:
-            total = total + coef * profile(exponent)
+        factor = (q / c) * np.exp(q * tau)
+        for amplitude, state, slope, decay in _reduction_terms(d):
+            coef = amplitude * (shrink if state else c) / q
+            total = total + coef * np.exp((slope * q - decay) * tau)
         normalized = 1.0 - total
         # inf * 0 in the discarded branch of the where is masked out
-        return np.where(normalized == 0.0, 0.0, factor * normalized)
-
-
-def _margin_exponential(d, weight, t):
-    terms = _exp_reduction_terms(d, weight)
-    with np.errstate(over="ignore"):
-        factor = (weight.rate / weight.coefficient) * np.exp(weight.rate * t)
-    return _margin_from_terms(terms, factor, lambda lam: np.exp(lam * t))
-
-
-def _margin_power(d, weight, t):
-    terms = _power_reduction_terms(d, weight)
-    base = 1.0 + t
-    with np.errstate(over="ignore"):
-        factor = (weight.rate / weight.coefficient) * base ** (weight.rate - 1.0)
-    return _margin_from_terms(terms, factor, lambda sig: base**sig)
+        margin = np.where(normalized == 0.0, 0.0, factor * normalized)
+    return margin / (1.0 + t) if power else margin
 
 
 def _margin_generic(data: InequalityData, weight: WeightFamily, t: np.ndarray) -> np.ndarray:
+    """The margin assembled from the damping, gain and drive expressions;
+    the reference that the factored margin is tested against."""
     w = np.asarray(weight.values(t), dtype=float)
     if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
-        raise InvalidWeightError("weight must be positive and finite on the grid")
+        raise ValueError("weight must be positive and finite on the grid")
     wp = np.asarray(weight.derivative_values(t), dtype=float)
     inv = 1.0 / w
     damping = np.asarray(evaluate(data.damping, {"t": t}), dtype=float)
@@ -545,32 +496,39 @@ def _check_gain_shape(data: InequalityData) -> None:
             raise ValueError("gain must be non-decreasing in the state")
 
 
-def _assemble_certificate(
-    data: InequalityData, weight: WeightFamily, grid: np.ndarray
+def check_weight(
+    data: InequalityData,
+    weight: WeightFamily,
+    t_max: float = 50.0,
+    n_samples: int = 5001,
 ) -> Certificate:
-    if isinstance(weight, ExponentialWeight) and data.exp_data is not None:
-        margins = _margin_exponential(data.exp_data, weight, grid)
-        tail: TailCheck = ExponentComparison(
-            tuple(lam for _, lam in _exp_reduction_terms(data.exp_data, weight))
-        )
-    elif isinstance(weight, PowerWeight) and data.power_data is not None:
-        margins = _margin_power(data.power_data, weight, grid)
-        tail = ExponentComparison(
-            tuple(sig for _, sig in _power_reduction_terms(data.power_data, weight))
-        )
-    else:
-        margins = np.asarray(_margin_generic(data, weight, grid), dtype=float)
-        margins = np.broadcast_to(margins, grid.shape)
-        tail = GridOnly(t_max=float(grid[-1]))
+    """Check one candidate weight against the inequality data.
 
-    w0 = float(np.asarray(weight.values(np.asarray([0.0]))).reshape(-1)[0])
-    if not (w0 > 0.0):
-        raise InvalidWeightError("weight must be positive at t = 0")
-    start = w0 * data.initial
+    The weight needs the matching decay data (``exp_data`` for an
+    exponential weight, ``power_data`` for a power weight); otherwise
+    this raises ValueError.  The margin
+
+        (1/w) * (damping - w'/w) - gain(t, 1/w) - drive
+
+    is evaluated in factored form on a uniform grid over [0, t_max];
+    certification requires the minimum margin >= 0, the start condition
+    w(0)*g(0) <= 1 (strict bound when < 1), and every tail exponent
+    <= 0, which extends the condition from t = 0 to all t >= 0.
+    """
+    if not (t_max > 0.0):
+        raise ValueError("t_max must be > 0")
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    _check_gain_shape(data)
+    d = _reduction_data(data, type(weight))
+    grid = np.linspace(0.0, t_max, n_samples)
+    margins = _margin_factored(d, weight, grid)
+    tail = ExponentComparison(_tail_exponents(_reduction_terms(d), weight.rate))
+    start = weight.coefficient * data.initial
 
     margin_min = float(np.min(margins))
     failures = []
-    if isinstance(tail, ExponentComparison) and not tail.passed:
+    if not tail.passed:
         positive = [x for x in tail.exponents if x > 0.0]
         failures.append(f"positive tail exponent(s) {positive}")
     if margin_min < 0.0:
@@ -592,62 +550,9 @@ def _assemble_certificate(
     )
 
 
-def check_weight(
-    data: InequalityData,
-    weight: WeightFamily,
-    t_max: float = 50.0,
-    n_samples: int = 5001,
-) -> Certificate:
-    """Check one candidate weight against the inequality data.
-
-    The margin
-
-        (1/w) * (damping - w'/w) - gain(t, 1/w) - drive
-
-    is evaluated on a uniform grid over [0, t_max]; certification
-    requires the minimum margin >= 0, the start condition w(0)*g(0) <= 1
-    (strict bound when < 1), and a passing tail check.  For exponential
-    weights on exponential decay data (and power on power) the tail is
-    exact; otherwise the certificate records a grid-only guarantee.
-    """
-    if not (t_max > 0.0):
-        raise ValueError("t_max must be > 0")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    _check_gain_shape(data)
-    grid = np.linspace(0.0, t_max, n_samples)
-    return _assemble_certificate(data, weight, grid)
-
-
 # ---------------------------------------------------------------------------
 # Searches
 # ---------------------------------------------------------------------------
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = _GOLDEN_TOL):
-    """Golden-section minimum of a unimodal f on [lo, hi]; returns (x, f(x)).
-    For monotone f this converges to the boundary minimizer."""
-    a, b = lo, hi
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    steps = int(math.ceil(math.log(tol / h) / math.log(_INVPHI)))
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    yc, yd = f(c), f(d)
-    for _ in range(steps - 1):
-        h *= _INVPHI
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INVPHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INVPHI * h
-            yd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def _coefficient_bracket(initial: float) -> tuple[float, float]:
@@ -661,18 +566,87 @@ def _coefficient_bracket(initial: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _level_function(total: float, state_total: float, p: float):
-    """h(c) = total * c + state_total * c**(1-2p), the normalized
-    condition at t = 0.  Unimodal on (0, inf)."""
-    exponent = 1.0 - 2.0 * p
+def _rate_interval(terms) -> tuple[float, float]:
+    """(floor, cap) of the rates q keeping every tail exponent
+    slope*q - decay non-positive.  Each exponent is linear in q: a
+    negative slope bounds q below, a positive one above, and a constant
+    positive exponent leaves no rate (cap = -inf)."""
+    floor, cap = 0.0, math.inf
+    for _, _, slope, decay in terms:
+        if slope > 0.0:
+            cap = min(cap, decay / slope)
+        elif slope < 0.0:
+            floor = max(floor, decay / slope)
+        elif decay < 0.0:
+            cap = -math.inf
+    return floor, cap
 
-    def h(c: float) -> float:
-        value = total * c
-        if state_total > 0.0:
-            value += state_total * c**exponent
-        return value
 
-    return h
+def _search(data: InequalityData, family: type, t_max: float, n_samples: int) -> Certificate:
+    d = _reduction_data(data, family)
+    terms = _reduction_terms(d)
+    floor, cap = _rate_interval(terms)
+    if cap <= 0.0:
+        slowest = min(decay for _, state, _, decay in terms if state)
+        return _refusal(
+            "no admissible rate: the tail exponent (2p-1)*rate stays "
+            "positive for every rate > 0 because the kernel envelopes "
+            "do not decay",
+            None,
+            ((2.0 * d.p - 1.0) * float(RATE_GRID[0]) - slowest,),
+        )
+    top = cap if cap < math.inf else float(RATE_GRID[-1])
+    if floor > top:
+        return _refusal(
+            f"no admissible rate: the tail exponents need rate >= {floor:.6g}, "
+            f"above the largest admissible rate {top:.6g}",
+            None,
+            _tail_exponents(terms, top),
+        )
+    lo, hi = _coefficient_bracket(data.initial)
+    total = d.c0 + d.c1 + d.c2
+    state_total = d.c1 + d.c2
+
+    if state_total == 0.0:
+        # Pure forcing: the condition is total * c <= rate, satisfiable
+        # for every rate, so the smallest admissible grid rate wins.  The
+        # coefficient sits at half its feasible range to stay clear of
+        # equality knife edges.
+        rate = float(RATE_GRID[np.searchsorted(RATE_GRID, floor)])
+        if total > 0.0:
+            coefficient = 0.5 * min(rate / total, hi)
+        else:
+            coefficient = 0.5 * hi if data.initial > 0.0 else 1.0
+    elif d.p > 0.5:
+        # The level function h(c) = total*c + state_total*c**(1-2p) is
+        # convex with its minimum where h'(c) = 0; the rate is the cap.
+        c_star = ((2.0 * d.p - 1.0) * state_total / total) ** (1.0 / (2.0 * d.p))
+        coefficient = min(max(c_star, lo), hi)
+        level = total * coefficient + state_total * coefficient ** (1.0 - 2.0 * d.p)
+        if level > cap:
+            return _refusal(
+                f"level condition failed: min h = {level:.6g} exceeds the largest "
+                f"admissible rate {cap:.6g} (best margin {cap - level:.6g})",
+                cap - level,
+                tuple(slope * cap - decay for _, state, slope, decay in terms if state),
+            )
+        rate = cap
+    else:
+        # p <= 1/2: h is non-decreasing and does not depend on the rate,
+        # so the coefficient is the bracket's left end and the rate the
+        # first grid rate at or above both h and the floor.
+        coefficient = lo
+        level = total * lo + state_total * lo ** (1.0 - 2.0 * d.p)
+        i = int(np.searchsorted(RATE_GRID, max(level, floor)))
+        if i == len(RATE_GRID):
+            return _refusal(
+                f"level condition failed on the whole rate grid: min h = {level:.6g} "
+                f"exceeds {top:.6g} (best margin {top - level:.6g})",
+                top - level,
+                (),
+            )
+        rate = float(RATE_GRID[i])
+    return check_weight(data, family(coefficient, rate), t_max, n_samples)
 
 
 def search_exponential(
@@ -680,92 +654,16 @@ def search_exponential(
 ) -> Certificate:
     """Search the family w(t) = c * exp(-rate*t) for a certificate.
 
-    Admissible rates must keep every tail exponent non-positive; for
-    p > 1/2 that caps the rate at min(active kernel decay rates)/(2p-1)
-    and the search takes the largest admissible rate, while for
-    p <= 1/2 every rate is admissible and the sweep returns the smallest
-    certifying rate on the grid (slowest certified growth).  For each
-    rate the coefficient minimizing the level function h is located by
-    golden section on the admissible bracket.  A refusal is a verdict,
-    not an error.
+    Admissible rates keep every tail exponent non-positive.  For p > 1/2
+    the state terms cap the rate at min(active kernel decay rates)/(2p-1);
+    the search takes that cap, with the coefficient minimizing the level
+    function, c* = ((2p-1)*(c1+c2)/(c0+c1+c2))**(1/(2p)), clipped to the
+    admissible bracket.  For p <= 1/2 the level function is
+    non-decreasing, so the coefficient is the bracket's left end and the
+    rate the first point of RATE_GRID at or above its level (slowest
+    certified growth on the grid).  A refusal is a verdict, not an error.
     """
-    if data.exp_data is None:
-        raise ValueError("search_exponential needs exponential decay data")
-    d = data.exp_data
-    lo, hi = _coefficient_bracket(data.initial)
-    total = d.c0 + d.c1 + d.c2
-    state_total = d.c1 + d.c2
-    h = _level_function(total, state_total, d.p)
-
-    if state_total == 0.0:
-        # Pure forcing: the condition is total * c <= rate, satisfiable
-        # for every rate, so the smallest rate on the grid wins.  The
-        # coefficient sits at half its feasible range to stay clear of
-        # equality knife edges.
-        rate = float(RATE_GRID[0])
-        if total > 0.0:
-            coefficient = 0.5 * min(rate / total, hi)
-        else:
-            coefficient = 0.5 * hi if data.initial > 0.0 else 1.0
-        return check_weight(data, ExponentialWeight(coefficient, rate), t_max, n_samples)
-
-    if d.p > 0.5:
-        active = [b for c, b in ((d.c1, d.b1), (d.c2, d.b)) if c > 0.0]
-        rate_cap = min(active) / (2.0 * d.p - 1.0)
-        if rate_cap <= 0.0:
-            smallest = float(RATE_GRID[0])
-            exponent = (2.0 * d.p - 1.0) * smallest - min(active)
-            return Certificate(
-                weight=None,
-                verdict=Refused(
-                    "no admissible rate: the tail exponent (2p-1)*rate stays "
-                    "positive for every rate > 0 because the kernel envelopes "
-                    "do not decay"
-                ),
-                margin_min=None,
-                tail_check=ExponentComparison((exponent,)),
-                bound=None,
-            )
-        coefficient, level = _golden_min(h, lo, hi)
-        if level <= rate_cap and coefficient * data.initial < 1.0:
-            return check_weight(data, ExponentialWeight(coefficient, rate_cap), t_max, n_samples)
-        return Certificate(
-            weight=None,
-            verdict=Refused(
-                f"level condition failed: min h = {level:.6g} exceeds the largest "
-                f"admissible rate {rate_cap:.6g} (best margin {rate_cap - level:.6g})"
-            ),
-            margin_min=rate_cap - level,
-            tail_check=ExponentComparison(
-                tuple(
-                    x
-                    for x in (
-                        (2.0 * d.p - 1.0) * rate_cap - d.b1 if d.c1 > 0 else None,
-                        (2.0 * d.p - 1.0) * rate_cap - d.b if d.c2 > 0 else None,
-                    )
-                    if x is not None
-                )
-            ),
-            bound=None,
-        )
-
-    # p <= 1/2: every positive rate passes the tail, and the level
-    # function does not depend on the rate, so the first grid rate at or
-    # above its minimum certifies.
-    coefficient, level = _golden_min(h, lo, hi)
-    for rate in RATE_GRID:
-        if level <= rate and coefficient * data.initial < 1.0:
-            return check_weight(data, ExponentialWeight(coefficient, float(rate)), t_max, n_samples)
-    return Certificate(
-        weight=None,
-        verdict=Refused(
-            f"level condition failed on the whole rate grid: min h = {level:.6g} "
-            f"exceeds {float(RATE_GRID[-1]):.6g} (best margin {float(RATE_GRID[-1]) - level:.6g})"
-        ),
-        margin_min=float(RATE_GRID[-1]) - level,
-        tail_check=ExponentComparison(()),
-        bound=None,
-    )
+    return _search(data, ExponentialWeight, t_max, n_samples)
 
 
 def search_power(
@@ -773,69 +671,11 @@ def search_power(
 ) -> Certificate:
     """Search the family w(t) = c * (1+t)**(-rate) for a certificate.
 
-    Requires power-law decay data.  A rate is admissible when every
-    normalized order is <= 0, which bounds it below via the drive orders
-    (rate >= 1 - e_i) and above via the state terms when p > 1/2.  The
-    sweep returns the smallest certifying rate; the margin is verified
-    on a log-spaced grid over [0, t_max] on top of the order comparison.
+    Requires power-law decay data.  This is :func:`search_exponential`
+    in log-time tau = log(1+t), where a decay order e_i is the
+    exponential rate e_i - 1; orders below 1 put a floor under the rate.
     """
-    if data.power_data is None:
-        raise ValueError("search_power needs power-law decay data")
-    d = data.power_data
-    lo, hi = _coefficient_bracket(data.initial)
-    total = d.d0 + d.d1 + d.d2
-    state_total = d.d1 + d.d2
-    h = _level_function(total, state_total, d.p)
-
-    grid = np.concatenate(([0.0], np.geomspace(max(t_max * 1e-4, 1e-6), t_max, n_samples - 1)))
-
-    def orders_ok(rate: float) -> bool:
-        probe = PowerWeight(coefficient=1.0, rate=rate)
-        return all(sig <= 0.0 for _, sig in _power_reduction_terms(d, probe))
-
-    if state_total == 0.0:
-        for rate in RATE_GRID:
-            rate = float(rate)
-            if not orders_ok(rate):
-                continue
-            if total > 0.0:
-                coefficient = 0.5 * min(rate / total, hi)
-            else:
-                coefficient = 0.5 * hi if data.initial > 0.0 else 1.0
-            return _assemble_certificate(data, PowerWeight(coefficient, rate), grid)
-        return Certificate(
-            weight=None,
-            verdict=Refused("no rate makes every drive order non-positive"),
-            margin_min=None,
-            tail_check=ExponentComparison(()),
-            bound=None,
-        )
-
-    coefficient, level = _golden_min(h, lo, hi)
-    best_gap = -math.inf
-    for rate in RATE_GRID:
-        rate = float(rate)
-        if not orders_ok(rate):
-            continue
-        best_gap = max(best_gap, rate - level)
-        if level <= rate and coefficient * data.initial < 1.0:
-            return _assemble_certificate(data, PowerWeight(coefficient, rate), grid)
-    if best_gap == -math.inf:
-        reason = (
-            "order comparison failed for every rate: the state terms grow "
-            "faster than the decay orders allow"
-        )
-        margin = None
-    else:
-        reason = f"level condition failed: best margin {best_gap:.6g}"
-        margin = best_gap
-    return Certificate(
-        weight=None,
-        verdict=Refused(reason),
-        margin_min=margin,
-        tail_check=ExponentComparison(()),
-        bound=None,
-    )
+    return _search(data, PowerWeight, t_max, n_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return _EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return _EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -416,8 +416,7 @@ def _compile(e: Expr, k: _Backend) -> Callable:
             except KeyError:
                 raise UnboundVariableError(name) from None
             if not finite(v):
-                array = isinstance(v, np.ndarray)
-                raise EvalDomainError(e, "overflow" if array else f"non-finite binding for '{name}'")
+                raise EvalDomainError(e, f"non-finite binding for '{name}'")
             return v
 
         return variable

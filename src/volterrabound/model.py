@@ -63,6 +63,12 @@ class ProblemFileError(ValueError):
     """A problem file is missing fields or carries invalid values."""
 
 
+def _require_finite(**constants: float) -> None:
+    for name, value in constants.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ForcingEnvelope:
     """Exponential envelope c0 * exp(-b0*t) on |f| + |f'|."""
@@ -71,6 +77,7 @@ class ForcingEnvelope:
     b0: float
 
     def __post_init__(self):
+        _require_finite(c0=self.c0, b0=self.b0)
         if not (self.c0 >= 0.0):
             raise ValueError("c0 must be >= 0")
         if not (self.b0 >= 0.0):
@@ -92,6 +99,7 @@ class KernelEnvelope:
     p: float
 
     def __post_init__(self):
+        _require_finite(c1=self.c1, b1=self.b1, c2=self.c2, b=self.b, p=self.p)
         if not (self.c1 >= 0.0 and self.c2 >= 0.0):
             raise ValueError("c1 and c2 must be >= 0")
         if not (self.b1 >= 0.0 and self.b >= 0.0):

@@ -18,7 +18,6 @@ from volterrabound import (
     ExponentialWeight,
     Grid,
     PowerWeight,
-    TabulatedWeight,
     build_problem,
     check_weight,
     derive_inequality,
@@ -27,7 +26,6 @@ from volterrabound import (
     make_exponential_data,
     make_power_data,
     norm_derivative_check,
-    parse,
     propagate_majorant,
     search_exponential,
     solve,
@@ -180,8 +178,8 @@ def test_criterion_6_closed_form_search_check():
 
 def _certified_instances(rng, count):
     """(data, certificate) pairs with certified verdicts: searched
-    exponential weights, explicit candidates, power weights, tabulated
-    weights, and two seeds attaining the start condition with equality."""
+    exponential weights, explicit exponential and power candidates, and
+    two seeds attaining the start condition with equality."""
     instances = []
     # equality seeds first: w(0)*g(0) = 0.5 * 2 = 1 exactly
     eq_data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=2.0)
@@ -189,11 +187,11 @@ def _certified_instances(rng, count):
         cert = check_weight(eq_data, ExponentialWeight(coefficient=0.5, rate=rate))
         assert cert.certified and not cert.verdict.strict
         instances.append((eq_data, cert))
-    # a couple of tabulated and power-law instances
-    tab_data = make_exponential_data(0.2, 1.0, 0.2, 1.0, 0.1, 1.0, 1.0, initial=0.5)
-    tab = check_weight(tab_data, TabulatedWeight(parse("0.5*exp(-t)")), t_max=20.0)
-    assert tab.certified
-    instances.append((tab_data, tab))
+    # an explicit exponential and a power-law instance
+    exp_data = make_exponential_data(0.2, 1.0, 0.2, 1.0, 0.1, 1.0, 1.0, initial=0.5)
+    explicit = check_weight(exp_data, ExponentialWeight(coefficient=0.5, rate=1.0), t_max=20.0)
+    assert explicit.certified
+    instances.append((exp_data, explicit))
     pow_data = make_power_data(0.5, 2.0, 0.25, 3.0, 0.25, 2.5, 1.0, initial=0.5)
     pow_cert = check_weight(pow_data, PowerWeight(coefficient=0.5, rate=1.5), t_max=20.0)
     assert pow_cert.certified

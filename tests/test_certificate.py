@@ -10,11 +10,9 @@ from volterrabound import (
     ExponentComparison,
     ExponentialWeight,
     Grid,
-    GridOnly,
     InequalityData,
     PowerWeight,
     Refused,
-    TabulatedWeight,
     Trajectory,
     build_problem,
     check_weight,
@@ -28,7 +26,6 @@ from volterrabound import (
     solve,
     verify_solution_bound,
 )
-from volterrabound.certificate import InvalidWeightError
 from volterrabound.expr import Constant
 from volterrabound.model import ForcingEnvelope, KernelEnvelope
 
@@ -84,16 +81,6 @@ def test_derive_atan_structure(atan_spec):
 # ---------------------------------------------------------------------------
 
 
-def test_check_weight_zero_inequality_tabulated():
-    data = InequalityData(damping=ZERO, gain=ZERO, drive=ZERO, initial=0.5)
-    cert = check_weight(data, TabulatedWeight(parse("1")))
-    assert cert.verdict == Certified(strict=True)
-    assert cert.margin_min == 0.0
-    assert isinstance(cert.tail_check, GridOnly)
-    # bound is identically 1
-    assert np.all(cert.bound_values(np.linspace(0, 5, 11)) == 1.0)
-
-
 def test_check_weight_refuses_quadratic_data_for_any_rate(quadratic_spec):
     data = derive_inequality(quadratic_spec)
     for rate in (0.5, 1.0, 10.0):
@@ -114,23 +101,36 @@ def test_check_weight_symmetric_envelopes():
 
 
 def test_check_weight_rejects_nonpositive_weight():
-    data = InequalityData(damping=ZERO, gain=ZERO, drive=ZERO, initial=0.0)
-    with pytest.raises(InvalidWeightError):
-        check_weight(data, TabulatedWeight(parse("t - 1")))
+    for family in (ExponentialWeight, PowerWeight):
+        for coefficient in (0.0, -1.0):
+            with pytest.raises(ValueError, match="must be > 0"):
+                family(coefficient, 1.0)
+
+
+def test_check_weight_needs_matching_decay_data():
+    data = InequalityData(damping=ZERO, gain=ZERO, drive=ZERO, initial=0.5)
+    with pytest.raises(ValueError, match="exponential decay data"):
+        check_weight(data, ExponentialWeight(1.0, 1.0))
+    power = make_power_data(1.0, 2.0, 0, 0, 0, 0, 1.0, initial=0.5)
+    with pytest.raises(ValueError, match="exponential decay data"):
+        check_weight(power, ExponentialWeight(1.0, 1.0))
+    exponential = make_exponential_data(1.0, 1.0, 0, 0, 0, 0, 1.0, initial=0.5)
+    with pytest.raises(ValueError, match="power-law decay data"):
+        check_weight(exponential, PowerWeight(1.0, 1.0))
 
 
 def test_check_weight_rejects_decreasing_gain():
     data = InequalityData(damping=ZERO, gain=parse("1/(1+u)"), drive=ZERO, initial=0.0)
     with pytest.raises(ValueError, match="non-decreasing"):
-        check_weight(data, TabulatedWeight(parse("1")))
+        check_weight(data, ExponentialWeight(1.0, 1.0))
 
 
 def test_check_weight_argument_checks():
     data = InequalityData(damping=ZERO, gain=ZERO, drive=ZERO, initial=0.0)
     with pytest.raises(ValueError):
-        check_weight(data, TabulatedWeight(parse("1")), t_max=-1.0)
+        check_weight(data, ExponentialWeight(1.0, 1.0), t_max=-1.0)
     with pytest.raises(ValueError):
-        check_weight(data, TabulatedWeight(parse("1")), n_samples=1)
+        check_weight(data, ExponentialWeight(1.0, 1.0), n_samples=1)
 
 
 def test_strictness_propagation():
@@ -145,15 +145,6 @@ def test_strictness_propagation():
     cert3 = check_weight(data, ExponentialWeight(coefficient=0.6, rate=2.0))
     assert isinstance(cert3.verdict, Refused)
     assert "start condition" in cert3.verdict.reason
-
-
-def test_tabulated_weight_grid_only_certification():
-    # An exponential weight disguised as a tabulated expression loses
-    # the closed-form tail and gets the weaker grid-only certificate.
-    data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=0.1)
-    cert = check_weight(data, TabulatedWeight(parse("0.8165*exp(-2*t)")), t_max=30.0)
-    assert cert.certified
-    assert cert.tail_check == GridOnly(t_max=30.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +227,31 @@ def test_search_rate_monotonicity():
 
 
 def test_margin_factored_path_matches_direct_expression():
-    # Dual route: the factored margin used for exponential weights on
-    # exponential data must agree pointwise with the margin assembled
-    # from the damping/gain/drive expressions.
+    # Dual route: the factored margin must agree pointwise with the
+    # margin assembled from the damping/gain/drive expressions, for
+    # exponential weights on exponential data and for power weights on
+    # power data, whose factored margin goes through log-time and the
+    # 1/(1+t) scaling.
+    from volterrabound.certificate import _margin_factored, _margin_generic, _reduction_data
+
     rng = np.random.default_rng(11)
     ts = np.linspace(0.0, 20.0, 401)
-    for _ in range(25):
-        c0, c1, c2 = rng.uniform(0.05, 1.0, size=3)
-        b0, b1, b = rng.uniform(0.0, 2.0, size=3)
-        p = float(rng.choice([0.5, 0.75, 1.0, 1.5]))
-        q = rng.uniform(0.2, 2.0)
-        c3 = rng.uniform(0.1, 1.5)
-        data = make_exponential_data(c0, b0, c1, b1, c2, b, p, initial=0.1)
-        weight = ExponentialWeight(coefficient=c3, rate=q)
-        from volterrabound.certificate import _margin_exponential, _margin_generic
-
-        factored = _margin_exponential(data.exp_data, weight, ts)
-        direct = _margin_generic(data, weight, ts)
-        scale = 1.0 + np.abs(direct)
-        assert np.all(np.abs(factored - direct) <= 1e-9 * scale)
+    for family, make, decay_range in (
+        (ExponentialWeight, make_exponential_data, (0.0, 2.0)),
+        (PowerWeight, make_power_data, (0.0, 4.0)),
+    ):
+        for _ in range(25):
+            c0, c1, c2 = rng.uniform(0.05, 1.0, size=3)
+            b0, b1, b = rng.uniform(*decay_range, size=3)
+            p = float(rng.choice([0.5, 0.75, 1.0, 1.5]))
+            q = rng.uniform(0.2, 2.0)
+            c3 = rng.uniform(0.1, 1.5)
+            data = make(c0, b0, c1, b1, c2, b, p, initial=0.1)
+            weight = family(coefficient=c3, rate=q)
+            factored = _margin_factored(_reduction_data(data, family), weight, ts)
+            direct = _margin_generic(data, weight, ts)
+            scale = 1.0 + np.abs(direct)
+            assert np.all(np.abs(factored - direct) <= 1e-9 * scale), family
 
 
 def test_reduction_equivalence_grid_vs_closed_form():
@@ -309,7 +306,7 @@ def test_power_order_comparison_refusal():
     data = make_power_data(0.5, 2.0, 0.5, 0.5, 0.0, 0.0, 1.0, initial=0.5)
     cert = search_power(data)
     assert isinstance(cert.verdict, Refused)
-    assert "order" in cert.verdict.reason
+    assert "no admissible rate" in cert.verdict.reason
 
 
 def test_power_zero_initial_trivially_strict():
@@ -319,17 +316,33 @@ def test_power_zero_initial_trivially_strict():
     assert cert.verdict.strict
 
 
-def test_power_certified_bound_dominates_majorant_pointwise():
-    data = make_power_data(0.5, 2.0, 0.25, 3.0, 0.25, 2.5, 1.0, initial=0.5)
-    cert = search_power(data)
-    assert cert.certified
-    w = cert.weight
+def _assert_power_condition_pointwise(data, w, ts):
     # independent pointwise inequality check of the defining condition
-    for t in np.linspace(0.0, 40.0, 401):
+    for t in ts:
         lhs = evaluate(data.gain, {"t": float(t), "u": (1.0 + t) ** w.rate / w.coefficient})
         lhs += evaluate(data.drive, {"t": float(t)})
         rhs = w.rate * (1.0 + t) ** (w.rate - 1.0) / w.coefficient
         assert lhs <= rhs * (1.0 + 1e-12), t
+
+
+def test_power_certified_bound_dominates_majorant_pointwise():
+    data = make_power_data(0.5, 2.0, 0.25, 3.0, 0.25, 2.5, 1.0, initial=0.5)
+    cert = search_power(data)
+    assert cert.certified
+    _assert_power_condition_pointwise(data, cert.weight, np.linspace(0.0, 40.0, 401))
+
+
+def test_power_search_takes_the_rate_cap_off_the_grid():
+    # The state order 2.5 caps the rate at (2.5 - 1)/(2p - 1) = 1.5, which
+    # lies between two RATE_GRID points; h(c*) = 2*sqrt(2.2*0.25) ~ 1.483
+    # is above the grid point below the cap, so only the cap certifies.
+    data = make_power_data(1.95, 3.0, 0, 0, 0.25, 2.5, 1.0, initial=0.5)
+    cert = search_power(data)
+    assert cert.certified
+    assert cert.weight.rate == 1.5
+    assert cert.weight.coefficient == pytest.approx(math.sqrt(0.25 / 2.2), rel=1e-12)
+    ts = np.concatenate((np.linspace(0.0, 40.0, 401), np.geomspace(40.0, 1e6, 200)))
+    _assert_power_condition_pointwise(data, cert.weight, ts)
 
 
 def test_search_power_requires_power_data():

@@ -183,6 +183,21 @@ def test_overflowing_envelope_exponent_is_one_line_error(tmp_path, capsys):
     _assert_one_line_error(capsys, code, "error: numeric overflow: ")
 
 
+def test_infinite_envelope_constant_is_one_line_error(tmp_path, capsys):
+    # Python's JSON reader accepts Infinity; the envelope names the constant.
+    problem = write_problem(tmp_path / "p.json", dict(ATAN_PROBLEM, c0=math.inf))
+    code = run(["certify", "--problem", problem, "--out", str(tmp_path)])
+    _assert_one_line_error(capsys, code, "error: c0 must be a finite number")
+
+
+def test_oversized_grid_is_one_line_error(tmp_path, capsys):
+    # 10^15 nodes: numpy refuses the 7 PiB allocation at once.
+    problem = write_problem(tmp_path / "p.json", ATAN_PROBLEM)
+    args = ["solve", "--problem", problem, "--t-end", "1e12", "--step", "1e-3"]
+    code = run(args + ["--out", str(tmp_path)])
+    _assert_one_line_error(capsys, code, "error: out of memory: ")
+
+
 def test_verify_long_sum_forcing(tmp_path, capsys):
     # A 900-deep tree of additions: evaluation must stay within the
     # default recursion limit, one frame per tree level.

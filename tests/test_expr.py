@@ -127,6 +127,7 @@ def test_unbound_variable():
         ("u^-1", {"u": 0.0}),
         ("u^0.5", {"u": -2.0}),
         ("exp(u)", {"u": 1e9}),
+        ("u + 1", {"u": math.inf}),
     ],
 )
 def test_domain_errors(text, bindings):
@@ -136,6 +137,7 @@ def test_domain_errors(text, bindings):
     with pytest.raises(EvalDomainError) as array:
         evaluate(e, {k: np.array([1.0, v]) for k, v in bindings.items()})
     assert scalar.value.node == array.value.node
+    assert scalar.value.message == array.value.message
 
 
 def test_domain_error_renders_its_node_only_when_printed(monkeypatch):
