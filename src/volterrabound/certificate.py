@@ -570,15 +570,21 @@ def _rate_interval(terms) -> tuple[float, float]:
     """(floor, cap) of the rates q keeping every tail exponent
     slope*q - decay non-positive.  Each exponent is linear in q: a
     negative slope bounds q below, a positive one above, and a constant
-    positive exponent leaves no rate (cap = -inf)."""
+    positive exponent leaves no rate (cap = -inf).  Each bound is moved
+    inwards by ulps until its exponent, as rounded, is <= 0."""
     floor, cap = 0.0, math.inf
     for _, _, slope, decay in terms:
+        if slope == 0.0:
+            if decay < 0.0:
+                cap = -math.inf
+            continue
+        bound = decay / slope
+        while slope * bound - decay > 0.0:
+            bound = math.nextafter(bound, -math.inf if slope > 0.0 else math.inf)
         if slope > 0.0:
-            cap = min(cap, decay / slope)
-        elif slope < 0.0:
-            floor = max(floor, decay / slope)
-        elif decay < 0.0:
-            cap = -math.inf
+            cap = min(cap, bound)
+        else:
+            floor = max(floor, bound)
     return floor, cap
 
 
@@ -622,7 +628,10 @@ def _search(data: InequalityData, family: type, t_max: float, n_samples: int) ->
         # convex with its minimum where h'(c) = 0; the rate is the cap.
         c_star = ((2.0 * d.p - 1.0) * state_total / total) ** (1.0 / (2.0 * d.p))
         coefficient = min(max(c_star, lo), hi)
-        level = total * coefficient + state_total * coefficient ** (1.0 - 2.0 * d.p)
+        try:
+            level = total * coefficient + state_total * coefficient ** (1.0 - 2.0 * d.p)
+        except OverflowError:  # c < 1 raised to a huge negative power
+            level = math.inf
         if level > cap:
             return _refusal(
                 f"level condition failed: min h = {level:.6g} exceeds the largest "

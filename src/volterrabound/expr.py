@@ -352,9 +352,10 @@ def evaluate(e: Expr, bindings: Mapping[str, Binding]):
     finite reals raises :class:`EvalDomainError` naming the node where
     it happened.
     """
-    if any(isinstance(v, np.ndarray) for v in bindings.values()):
-        with np.errstate(all="ignore"):  # overflow is reported per node instead
-            return e._array(bindings)
+    for v in bindings.values():
+        if isinstance(v, np.ndarray):
+            with np.errstate(all="ignore"):  # overflow is reported per node instead
+                return e._array(bindings)
     return e._scalar(bindings)
 
 
@@ -602,6 +603,90 @@ def _diff(e: Expr, var: str) -> Expr:
                 return Constant(0.0)
             return _mul(_mul(Constant(c), _pow(e.left, c - 1.0)), dl)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# Separation
+# ---------------------------------------------------------------------------
+
+_ONE = Constant(1.0)
+_MAX_TERMS = 64  # products of sums multiply their term counts; past this, refuse
+
+
+def _times(a: Expr, b: Expr) -> Expr:
+    """a * b, dropping factors of one (x * 1 == x exactly in binary64).
+    Unlike _mul it never drops a factor times zero, whose domain errors
+    the product must still raise."""
+    if _is_one(a):
+        return b
+    if _is_one(b):
+        return a
+    return Binary("mul", a, b)
+
+
+def _summed(terms: list) -> Expr:
+    total = _times(*terms[0])
+    for outer, inner in terms[1:]:
+        total = Binary("add", total, _times(outer, inner))
+    return total
+
+
+def separate(e: Expr, var: str = "t") -> list[tuple[Expr, Expr]] | None:
+    """Write ``e`` as a sum of products, e = sum_k outer_k * inner_k,
+    where each outer factor depends on ``var`` alone and no inner factor
+    mentions ``var``.
+
+    Sums and differences split into terms, products into factors (term by
+    term), a quotient by a divisor that does not mix ``var`` with another
+    variable onto the matching factor, and exp of a sum into the exp of
+    its ``var`` part times the exp of the rest, so ``exp(-(t+s))`` is
+    ``exp(-t) * exp(-s)``.  Returns None when some factor mixes ``var``
+    with another variable (``atan(t*s)``), or when the expansion would
+    exceed 64 terms.  The terms equal ``e`` up to rounding; either side
+    may overflow where ``e`` does not, e.g. ``exp(s)`` from ``exp(s-t)``.
+    """
+    names = variables(e)
+    if var not in names:
+        return [(_ONE, e)]
+    if names == {var}:
+        return [(e, _ONE)]
+    if isinstance(e, Unary) and e.op == "neg":
+        terms = separate(e.child, var)
+        return None if terms is None else [(outer, _neg(inner)) for outer, inner in terms]
+    if isinstance(e, Unary) and e.op == "exp":
+        terms = separate(e.child, var)
+        if terms is None:
+            return None
+        # terms in var alone (constant inner), and terms free of var
+        own = [term for term in terms if not variables(term[1])]
+        rest = [term for term in terms if variables(term[1]) and not variables(term[0])]
+        if len(own) + len(rest) < len(terms):
+            return None
+        return [(Unary("exp", _summed(own)), Unary("exp", _summed(rest)))]
+    if not isinstance(e, Binary) or e.op == "pow":
+        return None
+    left = separate(e.left, var)
+    if left is None:
+        return None
+    if e.op == "div":
+        divisor = variables(e.right)
+        if var not in divisor:
+            return [(outer, Binary("div", inner, e.right)) for outer, inner in left]
+        if divisor == {var}:
+            return [(Binary("div", outer, e.right), inner) for outer, inner in left]
+        return None
+    right = separate(e.right, var)
+    if right is None:
+        return None
+    if e.op == "add":
+        terms = left + right
+    elif e.op == "sub":
+        terms = left + [(outer, _neg(inner)) for outer, inner in right]
+    elif len(left) * len(right) <= _MAX_TERMS:
+        terms = [(_times(a, c), _times(b, d)) for a, b in left for c, d in right]
+    else:
+        return None
+    return terms if len(terms) <= _MAX_TERMS else None
 
 
 # ---------------------------------------------------------------------------

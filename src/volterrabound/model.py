@@ -231,11 +231,17 @@ def validate_decay(
     ts = np.linspace(0.0, t_max, n_samples)
     us = np.linspace(-u_max, u_max, u_samples)
     two_p = 2.0 * env_k.p
+    try:
+        growth = 1.0 + u_max**two_p
+    except OverflowError:
+        raise OverflowError(
+            f"p = {env_k.p!r} is too large: u_max**(2p) overflows for u_max = {u_max!r}"
+        ) from None
 
     checks = [
         _check_forcing_decay(spec, env_f, ts),
         _check_kernel_diagonal(spec, env_k, ts, us, two_p),
-        _check_kernel_variation(spec, env_k, ts, u_max, two_p),
+        _check_kernel_variation(spec, env_k, ts, u_max, growth),
         _check_kernel_monotone(spec, ts, us),
     ]
     return ValidationReport(checks=tuple(checks))
@@ -272,12 +278,11 @@ def _check_kernel_diagonal(spec, env_k, ts, us, two_p) -> HypothesisCheck:
     return HypothesisCheck(name, m, {"t": float(ts[i]), "u": float(us[j])}, m >= 0.0)
 
 
-def _check_kernel_variation(spec, env_k, ts, u_max, two_p) -> HypothesisCheck:
+def _check_kernel_variation(spec, env_k, ts, u_max, growth) -> HypothesisCheck:
     name = "kernel-variation"
     w = np.ones(_SIMPSON_PANELS + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    growth = 1.0 + u_max**two_p
     worst = (math.inf, 0.0, u_max)
     try:
         for t in ts:

@@ -6,10 +6,17 @@ accepted nodes, which leaves one implicit scalar equation per step:
     u_n = f(t_n) + h * (a(t_n,t_0,u_0)/2 + sum_j a(t_n,t_j,u_j) + a(t_n,t_n,u_n)/2)
 
 solved by damped Newton with the symbolic kernel derivative a_u, and a
-geometrically grown bisection bracket as fallback.  When a step cannot
-be completed, the step is halved locally (up to 40 times); exhaustion
-with evidence of |u| crossing the blow-up cap is reported as finite-time
-blow-up, exhaustion without growth as a step failure.
+geometrically grown bisection bracket as fallback.  A root counts only
+where the slope 1 - (h/2)*a_u(t_n,t_n,u_n) is positive.  When a step
+cannot be completed, the step is halved locally (up to 40 times);
+exhaustion with evidence of |u| crossing the blow-up cap is reported as
+finite-time blow-up, exhaustion without growth as a step failure.
+
+Cost: when the kernel separates as a = sum_k phi_k(t) * psi_k(s, u)
+(``expr.separate``), the history enters through one running trapezoid
+sum of psi_k per term, so N nodes cost O(N) kernel evaluations.  Other
+kernels, and separable ones after a factor has left its domain or
+overflowed, are summed over every stored node at every attempt: O(N^2).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .expr import EvalDomainError, evaluate
+from .expr import EvalDomainError, Expr, evaluate, separate
 from .ioutil import write_text_atomic
 from .model import ProblemSpec
 
@@ -111,35 +118,92 @@ class _SolveResult:
     max_abs: float  # largest |u| seen among iterates; blow-up evidence
 
 
+class _LagSums:
+    """Running trapezoid sums for a kernel a = sum_k phi_k(t) * psi_k(s, u).
+
+    ``closed[k]`` is the integral of psi_k over the closed segments
+    between accepted nodes, sum of d/2 * (psi_k(left) + psi_k(right));
+    ``last[k]`` is psi_k at the last accepted node, whose right half
+    weight d/2 depends on the attempted step.  The lag of an attempt at
+    t is then sum_k phi_k(t) * (closed[k] + d/2 * last[k]): O(1) per
+    attempt instead of O(history).
+    """
+
+    __slots__ = ("outer", "inner", "closed", "last")
+
+    def __init__(self, terms, s0: float, u0: float):
+        self.outer = [outer for outer, _ in terms]
+        self.inner = [inner for _, inner in terms]
+        self.closed = [0.0] * len(terms)
+        self.last = self._inner_values(s0, u0)
+
+    def _inner_values(self, s: float, u: float) -> list:
+        bindings = {"s": s, "u": u}
+        return [float(evaluate(inner, bindings)) for inner in self.inner]
+
+    def lag(self, t: float, half_step: float) -> float:
+        bindings = {"t": t}
+        total = 0.0
+        for outer, closed, last in zip(self.outer, self.closed, self.last):
+            total += float(evaluate(outer, bindings)) * (closed + half_step * last)
+        return total
+
+    def close_segment(self, half_step: float, s: float, u: float) -> None:
+        new = self._inner_values(s, u)
+        self.closed = [c + half_step * (a + b) for c, a, b in zip(self.closed, self.last, new)]
+        self.last = new
+
+
 class _History:
     """Append-only (t, u) store backed by amortized-growth arrays, so
     the per-step quadrature reads contiguous views instead of converting
-    Python lists every attempt."""
+    Python lists every attempt.  For a separable kernel it also keeps
+    the running lag sums, until they fail once (a factor leaving its
+    domain or overflowing where the kernel does not); from then on the
+    quadrature runs over the stored nodes."""
 
-    __slots__ = ("t", "u", "n")
+    __slots__ = ("t", "u", "n", "last_t", "last_u", "sums")
 
-    def __init__(self, t0: float, u0: float):
+    def __init__(self, t0: float, u0: float, kernel: Expr):
         self.t = np.empty(256)
         self.u = np.empty(256)
-        self.t[0] = t0
-        self.u[0] = u0
+        self.t[0] = self.last_t = t0
+        self.u[0] = self.last_u = u0
         self.n = 1
+        terms = separate(kernel, "t")
+        self.sums = None
+        if terms is not None:
+            try:
+                self.sums = _LagSums(terms, t0, u0)
+            except EvalDomainError:
+                pass
 
     def push(self, t: float, u: float) -> None:
+        half_step = 0.5 * (t - self.last_t)
         if self.n == len(self.t):
             self.t = np.concatenate([self.t, np.empty_like(self.t)])
             self.u = np.concatenate([self.u, np.empty_like(self.u)])
-        self.t[self.n] = t
-        self.u[self.n] = u
+        self.t[self.n] = self.last_t = t
+        self.u[self.n] = self.last_u = u
         self.n += 1
+        if self.sums is not None:
+            try:
+                self.sums.close_segment(half_step, t, u)
+            except EvalDomainError:
+                self.sums = None
 
-    @property
-    def last_t(self) -> float:
-        return float(self.t[self.n - 1])
-
-    @property
-    def last_u(self) -> float:
-        return float(self.u[self.n - 1])
+    def split_lag(self, t: float, half_step: float) -> float | None:
+        """The lag from the running sums, or None once they are unusable."""
+        if self.sums is None:
+            return None
+        try:
+            lag = self.sums.lag(t, half_step)
+        except EvalDomainError:
+            lag = math.nan
+        if not math.isfinite(lag):
+            self.sums = None
+            return None
+        return lag
 
 
 def solve(
@@ -162,7 +226,7 @@ def solve(
 
     tgrid = grid.times()
     u0 = float(evaluate(spec.f, {"t": grid.t0}))
-    hist = _History(float(grid.t0), u0)
+    hist = _History(float(grid.t0), u0, spec.a)
     values = [u0]
     status: Status = Completed()
 
@@ -225,6 +289,20 @@ def _attempt_step(spec, hist, t_new, tol) -> _SolveResult:
     Any domain excursion during the attempt counts as a failed attempt
     (the halving machinery decides what it means); it is never raised.
     """
+    half_step = 0.5 * (t_new - hist.last_t)
+    try:
+        fval = float(evaluate(spec.f, {"t": t_new}))
+        lag = hist.split_lag(t_new, half_step)
+        if lag is None:
+            lag = _direct_lag(spec, hist, t_new)
+        rhs = fval + lag
+    except EvalDomainError:
+        return _SolveResult(False, 0.0, 0.0)
+    return _implicit_scalar(spec, t_new, rhs, half_step, hist.last_u, tol)
+
+
+def _direct_lag(spec, hist, t_new) -> float:
+    """Trapezoid sum of a(t_new, t_j, u_j) over every stored node."""
     m = hist.n
     ht = hist.t[:m]
     hu = hist.u[:m]
@@ -238,13 +316,7 @@ def _attempt_step(spec, hist, t_new, tol) -> _SolveResult:
     w[1:] = d[: m - 1]
     w += d
     w *= 0.5
-    try:
-        fval = float(evaluate(spec.f, {"t": t_new}))
-        lag = np.dot(w, np.broadcast_to(evaluate(spec.a, {"t": t_new, "s": ht, "u": hu}), (m,)))
-        rhs = fval + float(lag)
-    except EvalDomainError:
-        return _SolveResult(False, 0.0, 0.0)
-    return _implicit_scalar(spec, t_new, rhs, 0.5 * d[m - 1], hist.last_u, tol)
+    return float(np.dot(w, np.broadcast_to(evaluate(spec.a, {"t": t_new, "s": ht, "u": hu}), (m,))))
 
 
 def _implicit_scalar(spec, t, rhs, weight, u_start, tol) -> _SolveResult:
@@ -263,9 +335,10 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, tol) -> _SolveResult:
     except EvalDomainError:
         return _SolveResult(False, u, max_abs)
 
+    d = None  # slope at the Newton iterate the current u was reached from
     for _ in range(_NEWTON_ITERATIONS):
         if abs(fu) <= tol * (1.0 + abs(u)):
-            return _SolveResult(True, u, max_abs)
+            return _on_branch(u, d, slope, max_abs)
         try:
             d = slope(u)
         except EvalDomainError:
@@ -290,9 +363,28 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, tol) -> _SolveResult:
             break
     else:
         if abs(fu) <= tol * (1.0 + abs(u)):
-            return _SolveResult(True, u, max_abs)
+            return _on_branch(u, d, slope, max_abs)
 
-    return _bisect(residual, u_start, tol, max_abs)
+    res = _bisect(residual, u_start, tol, max_abs)
+    return _on_branch(res.value, None, slope, res.max_abs) if res.converged else res
+
+
+def _on_branch(u, d, slope, max_abs) -> _SolveResult:
+    """Accept the root u only where the residual increases through it,
+    slope 1 - weight * a_u(t, t, u) > 0, as on the branch that continues
+    the solution from the last node.  Elsewhere, such as the far root an
+    odd power always has, the attempt fails with |u| as blow-up
+    evidence.  ``d`` is the slope Newton computed at the iterate u was
+    reached from; it stands in for the slope at u, and is evaluated only
+    when there is none."""
+    if d is None:
+        try:
+            d = slope(u)
+        except EvalDomainError:
+            d = math.nan
+    if d > 0.0:
+        return _SolveResult(True, u, max_abs)
+    return _SolveResult(False, u, max(max_abs, abs(u)))
 
 
 def _bisect(residual, u_start, tol, max_abs) -> _SolveResult:

@@ -196,6 +196,24 @@ def test_search_level_condition_failure():
     assert cert.margin_min is not None and cert.margin_min < 0.0
 
 
+def test_search_rate_cap_rounded_down_until_tails_are_non_positive():
+    # The cap 3.9/5 times the state slope 5 rounds to 3.9 + 4.4e-16; the
+    # search steps the cap down by ulps instead of refusing on rounding.
+    data = make_exponential_data(0, 4.4, 0.206, 3.9, 0, 4.5, 3.0, initial=0)
+    cert = search_exponential(data)
+    assert cert.certified, cert.verdict
+    assert all(x <= 0.0 for x in cert.tail_check.exponents)
+    assert cert.weight.rate == pytest.approx(3.9 / 5.0, rel=1e-15)
+
+
+def test_search_level_overflow_is_a_refusal():
+    # c < 1 raised to 1 - 2p for a huge p overflows: the level is infinite.
+    data = make_exponential_data(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1e300, initial=2.0)
+    cert = search_exponential(data)
+    assert isinstance(cert.verdict, Refused)
+    assert "min h = inf" in cert.verdict.reason
+
+
 def test_search_requires_exponential_data():
     data = InequalityData(damping=ZERO, gain=ZERO, drive=ZERO, initial=0.0)
     with pytest.raises(ValueError, match="exponential decay data"):

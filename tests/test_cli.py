@@ -183,6 +183,13 @@ def test_overflowing_envelope_exponent_is_one_line_error(tmp_path, capsys):
     _assert_one_line_error(capsys, code, "error: numeric overflow: ")
 
 
+def test_overflowing_p_is_named(tmp_path, capsys):
+    problem = write_problem(tmp_path / "p.json", dict(ATAN_PROBLEM, p=1e300))
+    code = run(["verify", "--problem", problem, "--t-end", "0.1", "--step", "0.01",
+                "--out", str(tmp_path)])
+    _assert_one_line_error(capsys, code, "error: numeric overflow: p = 1e+300 is too large")
+
+
 def test_infinite_envelope_constant_is_one_line_error(tmp_path, capsys):
     # Python's JSON reader accepts Infinity; the envelope names the constant.
     problem = write_problem(tmp_path / "p.json", dict(ATAN_PROBLEM, c0=math.inf))

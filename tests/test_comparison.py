@@ -11,6 +11,7 @@ from volterrabound import (
     InequalityData,
     check_weight,
     derive_inequality,
+    evaluate,
     make_exponential_data,
     norm_derivative_check,
     parse,
@@ -109,6 +110,47 @@ def test_majorant_nonstrict_equality_at_start():
     assert curve.values[0] == bound[0]
     assert np.all(curve.values <= bound)
     assert np.all(curve.values[1:] < bound[1:])
+
+
+def _scalar_rk4(data, grid):
+    """RK4 on the equality, every expression evaluated at every stage."""
+
+    def rhs(t, g):
+        damping = evaluate(data.damping, {"t": t})
+        return -damping * g + evaluate(data.gain, {"t": t, "u": g}) + evaluate(data.drive, {"t": t})
+
+    times, h, g = grid.times(), grid.h, data.initial
+    values = [g]
+    for n in range(1, grid.n):
+        t = float(times[n - 1])
+        k1 = rhs(t, g)
+        k2 = rhs(t + 0.5 * h, g + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, g + 0.5 * h * k2)
+        k4 = rhs(t + h, g + h * k3)
+        g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        values.append(g)
+    return np.array(values)
+
+
+@pytest.mark.parametrize(
+    "gain, exact",
+    [
+        ("atan(t*u)/(1 + t^2)", True),  # does not separate: the stage-by-stage loop
+        ("exp(-t)*u^2 + 0.5*exp(-2*t)*atan(u)", False),  # tabulated in t
+    ],
+)
+def test_majorant_matches_stage_by_stage_rk4(gain, exact):
+    data = InequalityData(
+        damping=parse("0.1"), gain=parse(gain), drive=parse("exp(-t)"), initial=0.5
+    )
+    grid = Grid(t_end=5.0, h=0.01)
+    curve = propagate_majorant(data, grid)
+    assert isinstance(curve.status, Completed)
+    reference = _scalar_rk4(data, grid)
+    if exact:
+        assert np.array_equal(curve.values, reference)
+    else:
+        assert np.allclose(curve.values, reference, rtol=1e-14, atol=0.0)
 
 
 def test_majorant_domain_error_propagates():

@@ -16,6 +16,7 @@ from volterrabound.expr import (
     differentiate,
     evaluate,
     parse,
+    separate,
     to_text,
     variables,
 )
@@ -317,3 +318,64 @@ def test_derivative_matches_central_difference():
             continue
         assert abs(sym - fd) <= 1e-6 * (1.0 + abs(sym))
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# Separation
+# ---------------------------------------------------------------------------
+
+
+def _texts(terms):
+    return [(to_text(outer), to_text(inner)) for outer, inner in terms]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("exp(-(t+s))*atan(u)", [("exp((t * -1.0))", "(exp((-s)) * atan(u))")]),
+        ("exp(s-t)*atan(u)", [("exp((t * -1.0))", "(exp(s) * atan(u))")]),
+        ("u^2", [("1.0", "(u ^ 2.0)")]),
+        ("sin(t)", [("sin(t)", "1.0")]),
+        ("(t-s)*u", [("t", "u"), ("1.0", "((-s) * u)")]),
+        ("u/(1+t) - t/(1+s)", [("(1.0 / (1.0 + t))", "u"), ("t", "(-(1.0 / (1.0 + s)))")]),
+    ],
+)
+def test_separate_structure(text, expected):
+    assert _texts(separate(parse(text))) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["atan(t*s*u)", "exp(t*s)", "u/(t+s)", "(t+u)^2", "exp(-(t+s))*atan(u)*(1 + 0*atan(t*s))"],
+)
+def test_separate_refuses_factors_mixing_t(text):
+    assert separate(parse(text)) is None
+
+
+def test_separate_refuses_term_explosion():
+    assert len(separate(parse("*".join(["(t+s)"] * 6)))) == 64
+    assert separate(parse("*".join(["(t+s)"] * 7))) is None
+
+
+def test_separate_reproduces_random_trees():
+    rng = np.random.default_rng(2718)
+    split = 0
+    for _ in range(3000):
+        e = _random_expr(rng, depth=4)
+        names = variables(e)
+        terms = separate(e)
+        if terms is None or "t" not in names or names == {"t"}:
+            continue  # refused, or t-free or t-only: one trivial term
+        split += 1
+        for outer, inner in terms:
+            assert variables(outer) <= {"t"} and "t" not in variables(inner)
+        for _ in range(3):
+            point = {v: rng.uniform(0.3, 2.0) for v in ("t", "s", "u")}
+            try:
+                value = evaluate(e, point)
+                parts = [evaluate(outer, point) * evaluate(inner, point) for outer, inner in terms]
+            except EvalDomainError:
+                continue
+            scale = sum(abs(x) for x in parts) + abs(value)
+            assert abs(sum(parts) - value) <= 1e-12 * scale, to_text(e)
+    assert split > 50

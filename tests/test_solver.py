@@ -152,6 +152,103 @@ def test_solver_argument_checks(quadratic_spec):
         solve(quadratic_spec, Grid(t_end=1.0, h=0.1), blowup_cap=-1.0)
 
 
+def test_odd_power_blow_up_not_continued_on_a_spurious_root():
+    # u = 1 + int u^3 blows up at t* = 1/2.  The implicit step of an odd
+    # power always has a real root; past the fold only a far negative one
+    # with slope 1 - w*a_u < 0 is left, and it must not be accepted.
+    spec = build_problem("1", "u^3", ForcingEnvelope(1, 0), KernelEnvelope(1, 0, 0, 0, 1.5))
+    h = 5e-4
+    traj = solve(spec, Grid(t_end=1.0, h=h))
+    assert isinstance(traj.status, BlowUp)
+    assert abs(traj.status.t_star - 0.5) <= 3 * h
+    assert np.all(traj.values > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Separable kernels: running lag sums against the direct quadrature
+# ---------------------------------------------------------------------------
+
+# A factor the splitter refuses (t and s inside one atan) whose value is
+# exactly 1: the same kernel values, summed over the whole history.
+DIRECT = "*(1 + 0*atan(t*s))"
+
+
+def _split_and_direct(f_text, a_text, grid):
+    env = (ForcingEnvelope(10, 0), KernelEnvelope(10, 0, 0, 0, 1))
+    split = solve(build_problem(f_text, a_text, *env), grid)
+    direct = solve(build_problem(f_text, f"({a_text}){DIRECT}", *env), grid)
+    return split, direct
+
+
+@pytest.mark.parametrize(
+    "f_text, a_text, t_end",
+    [
+        ("exp(-t)", "exp(-(t+s))*atan(u)", 5.0),
+        ("1", "u^2", 0.9),
+        ("1", "2*u", 1.0),
+        ("2 + cos(t)", "exp(-t)*atan(u) - 0.5*t*exp(-2*s)*u/(1 + u^2)", 5.0),
+    ],
+)
+def test_split_lag_matches_direct_quadrature(f_text, a_text, t_end):
+    split, direct = _split_and_direct(f_text, a_text, Grid(t_end=t_end, h=1e-3))
+    assert split.status == direct.status == Completed()
+    rel = np.abs(split.values - direct.values) / np.maximum(np.abs(direct.values), 1e-300)
+    assert np.max(rel) <= 1e-13
+
+
+def _count_array_evaluations(monkeypatch):
+    """Count the solver's evaluations with an array binding: each one is
+    a sum over the whole history."""
+    import volterrabound.solver as solver_module
+
+    calls = {"array": 0, "scalar": 0}
+    original = solver_module.evaluate
+
+    def counting(e, bindings):
+        kind = "array" if any(isinstance(v, np.ndarray) for v in bindings.values()) else "scalar"
+        calls[kind] += 1
+        return original(e, bindings)
+
+    monkeypatch.setattr(solver_module, "evaluate", counting)
+    return calls
+
+
+def test_split_lag_falls_back_where_a_factor_overflows(monkeypatch):
+    # exp(s-t) splits into exp(-t) * exp(s), and exp(s) overflows past
+    # s ~ 709.8 where the kernel itself stays below 1.  The running sums
+    # serve the nodes before that, the direct quadrature the 90 after.
+    calls = _count_array_evaluations(monkeypatch)
+    split, direct = _split_and_direct("1", "exp(s-t)*atan(u)", Grid(t_end=800.0, h=1.0))
+    assert calls["array"] == 800 + 90
+    assert split.status == direct.status == Completed()
+    assert len(split.values) == 801
+    assert np.max(np.abs(split.values - direct.values) / np.abs(direct.values)) <= 1e-13
+
+
+def test_non_separable_kernel_matches_picard():
+    spec = build_problem(
+        "exp(-t)", "atan(t*s*u)", ForcingEnvelope(2, 1), KernelEnvelope(2, 0, 2, 0, 0.5)
+    )
+    grid = Grid(t_end=1.0, h=2e-3)
+    direct = solve(spec, grid)
+    assert np.max(np.abs(direct.values - picard_reference(spec, grid).values)) < 1e-6
+
+
+def test_separable_kernel_never_evaluates_over_the_history(monkeypatch, atan_spec):
+    # A silent fallback to the direct quadrature would pass every other
+    # test, at O(N^2) cost.
+    calls = _count_array_evaluations(monkeypatch)
+    traj = solve(atan_spec, Grid(t_end=2.0, h=1e-3))
+    assert len(traj.values) == 2001
+    assert calls["array"] == 0 and calls["scalar"] > 2000
+    # The counter does see the direct quadrature, once per step.
+    direct = build_problem(
+        "exp(-t)", "exp(-(t+s))*atan(u)" + DIRECT, atan_spec.forcing_env, atan_spec.kernel_env
+    )
+    solve(direct, Grid(t_end=0.01, h=1e-3))
+    assert calls["array"] == 10
+
+
 # ---------------------------------------------------------------------------
 # Picard reference
 # ---------------------------------------------------------------------------
