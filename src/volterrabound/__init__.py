@@ -32,10 +32,7 @@ from .certificate import (
 )
 from .comparison import (
     MajorantCurve,
-    NormDerivativeReport,
-    norm_derivative_check,
     propagate_majorant,
-    write_majorant_csv,
 )
 from .expr import (
     Binary,
@@ -65,7 +62,6 @@ from .model import (
     build_problem,
     load_problem,
     problem_from_dict,
-    problem_to_dict,
     validate_decay,
 )
 from .solver import (
@@ -110,7 +106,6 @@ __all__ = [
     "validate_decay",
     "load_problem",
     "problem_from_dict",
-    "problem_to_dict",
     # solver
     "Grid",
     "Trajectory",
@@ -141,8 +136,5 @@ __all__ = [
     "verify_solution_bound",
     # comparison
     "MajorantCurve",
-    "NormDerivativeReport",
     "propagate_majorant",
-    "norm_derivative_check",
-    "write_majorant_csv",
 ]

@@ -1,11 +1,15 @@
 """Verifiable global growth bounds for the scalar differential inequality
 
-    g'(t) <= -damping(t) * g(t) + gain(t, g(t)) + drive(t),    g(0) = initial,
+    g'(t) <= k(t) * g(t)**(2p) + drive(t),    g(0) = initial,
 
-where gain(t, .) is non-negative and non-decreasing on g >= 0.  A
+where k and drive are closed-form sums of non-negative decay terms, held
+as their constants only (:class:`ExponentialDecayData` or
+:class:`PowerDecayData`).  Each record checks on construction that its
+amplitudes are >= 0 and p > 0, so the gain k(t) * g**(2p) is
+non-negative and non-decreasing in g >= 0 by construction.  A
 certificate is a positive C1 weight function w(t) satisfying
 
-    gain(t, 1/w(t)) + drive(t) <= (1/w(t)) * (damping(t) - w'(t)/w(t))
+    k(t) * (1/w(t))**(2p) + drive(t) <= -w'(t) / w(t)**2
 
 for all t >= 0 together with the start condition w(0) * g(0) < 1 (or
 <= 1 for the non-strict variant); it entails g(t) < 1/w(t) for all t.
@@ -31,7 +35,7 @@ the exponent comparison, which covers the whole half line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -45,7 +49,7 @@ from .expr import (
     evaluate,
     to_text,
 )
-from .model import ProblemSpec
+from .model import ProblemSpec, _require_finite
 from .solver import Completed, Trajectory
 
 __all__ = [
@@ -146,10 +150,38 @@ WeightFamily = Union[ExponentialWeight, PowerWeight]
 # ---------------------------------------------------------------------------
 
 
+def _decay_sums(pairs, decay, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """drive(t) and k(t) on an array of times: drive sums all three terms
+    (amplitude, rate) of ``pairs``, in order, and k the last two.  Zero
+    amplitudes are left out, so a term that overflows never meets a zero
+    factor."""
+    drive = k = np.zeros_like(t)
+    with np.errstate(over="ignore"):
+        for i, (amplitude, rate) in enumerate(pairs):
+            if amplitude != 0.0:
+                term = amplitude * decay(rate)
+                drive = drive + term
+                if i > 0:
+                    k = k + term
+    return drive, k
+
+
+def _check_constants(record, amplitudes: tuple[str, ...]) -> None:
+    """Finite constants, non-negative amplitudes and p > 0: then the gain
+    k(t) * g**(2p) is non-negative and non-decreasing in g >= 0."""
+    _require_finite(**asdict(record))
+    for name in amplitudes:
+        if not (getattr(record, name) >= 0.0):
+            raise ValueError(f"{name} must be >= 0")
+    if not (record.p > 0.0):
+        raise ValueError("p must be > 0")
+
+
 @dataclass(frozen=True)
 class ExponentialDecayData:
-    """Constants of exponential-decay data: drive and gain built from
-    c0*e^(-b0 t) + c1*e^(-b1 t) + c2*e^(-b t) and (c1 e^(-b1 t) + c2 e^(-b t)) g^(2p)."""
+    """Exponential decay constants of the growth inequality:
+    drive(t) = c0*e^(-b0 t) + c1*e^(-b1 t) + c2*e^(-b t) and
+    k(t) = c1*e^(-b1 t) + c2*e^(-b t)."""
 
     c0: float
     b0: float
@@ -158,6 +190,16 @@ class ExponentialDecayData:
     c2: float
     b: float
     p: float
+
+    def __post_init__(self):
+        _check_constants(self, ("c0", "c1", "c2"))
+
+    def pairs(self) -> tuple[tuple[float, float], ...]:
+        return ((self.c0, self.b0), (self.c1, self.b1), (self.c2, self.b))
+
+    def tabulate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """drive(t) and k(t) on an array of times."""
+        return _decay_sums(self.pairs(), lambda rate: np.exp(-rate * t), t)
 
 
 @dataclass(frozen=True)
@@ -172,95 +214,43 @@ class PowerDecayData:
     e2: float
     p: float
 
+    def __post_init__(self):
+        _check_constants(self, ("d0", "d1", "d2"))
+
+    def pairs(self) -> tuple[tuple[float, float], ...]:
+        return ((self.d0, self.e0), (self.d1, self.e1), (self.d2, self.e2))
+
+    def tabulate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """drive(t) and k(t) on an array of times."""
+        return _decay_sums(self.pairs(), lambda order: np.power(1.0 + t, -order), t)
+
+
+DecayData = Union[ExponentialDecayData, PowerDecayData]
+
 
 @dataclass(frozen=True)
 class InequalityData:
-    """Right-hand side of the growth inequality.
+    """The growth inequality g' <= k(t) * g**(2p) + drive(t), g(0) = initial,
+    with k and drive the closed-form sums of one decay record."""
 
-    ``gain`` is an expression in (t, u) where u stands for the state g;
-    it must be non-negative and non-decreasing in u on the range checked
-    (verified by sampling in :func:`check_weight`).  ``exp_data`` and
-    ``power_data`` carry the structured decay constants that the margin
-    and the exact tail check of each weight family are computed from.
-    """
-
-    damping: Expr
-    gain: Expr
-    drive: Expr
     initial: float
-    exp_data: Optional[ExponentialDecayData] = None
-    power_data: Optional[PowerDecayData] = None
+    decay: DecayData
 
     def __post_init__(self):
+        _require_finite(initial=self.initial)
         if not (self.initial >= 0.0):
-            raise ValueError("initial value must be >= 0")
-
-
-def _decay_term(c: float, rate: float) -> Optional[Expr]:
-    """c * exp(-rate * t), dropped when c = 0, constant when rate = 0."""
-    if c == 0.0:
-        return None
-    if rate == 0.0:
-        return Constant(c)
-    decay = Unary("exp", Binary("mul", Constant(-rate), _var_t()))
-    return Binary("mul", Constant(c), decay)
-
-
-def _power_term(c: float, order: float) -> Optional[Expr]:
-    """c * (1+t)**(-order), dropped when c = 0, constant when order = 0."""
-    if c == 0.0:
-        return None
-    if order == 0.0:
-        return Constant(c)
-    base = Binary("add", Constant(1.0), _var_t())
-    return Binary("mul", Constant(c), Binary("pow", base, Constant(-order)))
-
-
-def _sum_terms(terms: list) -> Expr:
-    terms = [term for term in terms if term is not None]
-    if not terms:
-        return Constant(0.0)
-    total = terms[0]
-    for term in terms[1:]:
-        if isinstance(total, Constant) and isinstance(term, Constant):
-            total = Constant(total.value + term.value)
-        else:
-            total = Binary("add", total, term)
-    return total
-
-
-def _state_gain(coefficient: Expr, two_p: float) -> Expr:
-    if isinstance(coefficient, Constant) and coefficient.value == 0.0:
-        return Constant(0.0)
-    power = Binary("pow", Variable("u"), Constant(two_p))
-    if isinstance(coefficient, Constant) and coefficient.value == 1.0:
-        return power
-    return Binary("mul", coefficient, power)
+            raise ValueError("initial must be >= 0")
 
 
 def derive_inequality(spec: ProblemSpec) -> InequalityData:
     """Translate a problem's decay envelopes into inequality data.
 
-    The damping term is identically zero here; drive collects the three
-    envelope decays, gain carries the state growth factor g**(2p), and
-    the initial value is the exact |f(0)| (not the looser constant c0).
+    The envelope constants become the decay record, and the initial value
+    is the exact |f(0)| (not the looser constant c0).
     """
     fe, ke = spec.forcing_env, spec.kernel_env
-    drive = _sum_terms(
-        [_decay_term(fe.c0, fe.b0), _decay_term(ke.c1, ke.b1), _decay_term(ke.c2, ke.b)]
-    )
-    gain_coef = _sum_terms([_decay_term(ke.c1, ke.b1), _decay_term(ke.c2, ke.b)])
-    gain = _state_gain(gain_coef, 2.0 * ke.p)
-    initial = abs(float(evaluate(spec.f, {"t": 0.0})))
-    return InequalityData(
-        damping=Constant(0.0),
-        gain=gain,
-        drive=drive,
-        initial=initial,
-        exp_data=ExponentialDecayData(
-            c0=fe.c0, b0=fe.b0, c1=ke.c1, b1=ke.b1, c2=ke.c2, b=ke.b, p=ke.p
-        ),
-    )
+    decay = ExponentialDecayData(fe.c0, fe.b0, ke.c1, ke.b1, ke.c2, ke.b, ke.p)
+    return InequalityData(abs(float(evaluate(spec.f, {"t": 0.0}))), decay)
 
 
 def make_exponential_data(
@@ -275,15 +265,7 @@ def make_exponential_data(
 ) -> InequalityData:
     """Inequality data with exponential decay structure, built directly
     from constants (for certificates detached from any problem file)."""
-    drive = _sum_terms([_decay_term(c0, b0), _decay_term(c1, b1), _decay_term(c2, b)])
-    gain = _state_gain(_sum_terms([_decay_term(c1, b1), _decay_term(c2, b)]), 2.0 * p)
-    return InequalityData(
-        damping=Constant(0.0),
-        gain=gain,
-        drive=drive,
-        initial=initial,
-        exp_data=ExponentialDecayData(c0=c0, b0=b0, c1=c1, b1=b1, c2=c2, b=b, p=p),
-    )
+    return InequalityData(initial, ExponentialDecayData(c0, b0, c1, b1, c2, b, p))
 
 
 def make_power_data(
@@ -297,15 +279,7 @@ def make_power_data(
     initial: float,
 ) -> InequalityData:
     """Inequality data with power-law decay structure (1+t)**(-e_i)."""
-    drive = _sum_terms([_power_term(d0, e0), _power_term(d1, e1), _power_term(d2, e2)])
-    gain = _state_gain(_sum_terms([_power_term(d1, e1), _power_term(d2, e2)]), 2.0 * p)
-    return InequalityData(
-        damping=Constant(0.0),
-        gain=gain,
-        drive=drive,
-        initial=initial,
-        power_data=PowerDecayData(d0=d0, e0=e0, d1=d1, e1=e1, d2=d2, e2=e2, p=p),
-    )
+    return InequalityData(initial, PowerDecayData(d0, e0, d1, e1, d2, e2, p))
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +382,16 @@ def _log_time_data(d: PowerDecayData) -> ExponentialDecayData:
     """Power data in log-time tau = log(1+t): the change of variable
     multiplies each term by 1+t, and (1+t) * d * (1+t)**(-e) is
     d * exp(-(e-1) * tau)."""
-    return ExponentialDecayData(
-        c0=d.d0, b0=d.e0 - 1.0, c1=d.d1, b1=d.e1 - 1.0, c2=d.d2, b=d.e2 - 1.0, p=d.p
-    )
+    return ExponentialDecayData(d.d0, d.e0 - 1.0, d.d1, d.e1 - 1.0, d.d2, d.e2 - 1.0, d.p)
 
 
 def _reduction_data(data: InequalityData, family: type) -> ExponentialDecayData:
     """Exponential decay data in the weight family's own time variable:
     t for exponential weights, tau = log(1+t) for power weights."""
-    if family is ExponentialWeight and data.exp_data is not None:
-        return data.exp_data
-    if family is PowerWeight and data.power_data is not None:
-        return _log_time_data(data.power_data)
+    if family is ExponentialWeight and isinstance(data.decay, ExponentialDecayData):
+        return data.decay
+    if family is PowerWeight and isinstance(data.decay, PowerDecayData):
+        return _log_time_data(data.decay)
     kind = "exponential" if family is ExponentialWeight else "power-law"
     raise ValueError(f"{family.__name__} needs {kind} decay data")
 
@@ -433,7 +405,7 @@ def _reduction_terms(d: ExponentialDecayData):
 
     Drive terms have slope -1 and state terms slope 2p-1; inactive
     envelope terms are dropped."""
-    pairs = ((d.c0, d.b0), (d.c1, d.b1), (d.c2, d.b))
+    pairs = d.pairs()
     drive = [(c, False, -1.0, decay) for c, decay in pairs if c > 0.0]
     state = [(c, True, 2.0 * d.p - 1.0, decay) for c, decay in pairs[1:] if c > 0.0]
     return drive + state
@@ -467,35 +439,6 @@ def _margin_factored(d: ExponentialDecayData, weight: WeightFamily, t: np.ndarra
     return margin / (1.0 + t) if power else margin
 
 
-def _margin_generic(data: InequalityData, weight: WeightFamily, t: np.ndarray) -> np.ndarray:
-    """The margin assembled from the damping, gain and drive expressions;
-    the reference that the factored margin is tested against."""
-    w = np.asarray(weight.values(t), dtype=float)
-    if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
-        raise ValueError("weight must be positive and finite on the grid")
-    wp = np.asarray(weight.derivative_values(t), dtype=float)
-    inv = 1.0 / w
-    damping = np.asarray(evaluate(data.damping, {"t": t}), dtype=float)
-    drive = np.asarray(evaluate(data.drive, {"t": t}), dtype=float)
-    gain = np.asarray(evaluate(data.gain, {"t": t, "u": inv}), dtype=float)
-    return inv * (damping - wp * inv) - gain - drive
-
-
-def _check_gain_shape(data: InequalityData) -> None:
-    """Sample the gain for non-negativity and monotonicity in the state."""
-    probes_t = np.linspace(0.0, 10.0, 5)
-    probes_g = np.array([0.0, 1e-3, 1.0, 1e3, 1e6])
-    for t in probes_t:
-        vals = np.asarray(
-            evaluate(data.gain, {"t": float(t), "u": probes_g}), dtype=float
-        )
-        vals = np.broadcast_to(vals, probes_g.shape)
-        if np.any(vals < -1e-12):
-            raise ValueError("gain must be non-negative on g >= 0")
-        if np.any(np.diff(vals) < -1e-9 * (1.0 + np.abs(vals[:-1]))):
-            raise ValueError("gain must be non-decreasing in the state")
-
-
 def check_weight(
     data: InequalityData,
     weight: WeightFamily,
@@ -504,11 +447,11 @@ def check_weight(
 ) -> Certificate:
     """Check one candidate weight against the inequality data.
 
-    The weight needs the matching decay data (``exp_data`` for an
-    exponential weight, ``power_data`` for a power weight); otherwise
-    this raises ValueError.  The margin
+    The weight needs the matching decay record (exponential for an
+    exponential weight, power-law for a power weight); otherwise this
+    raises ValueError.  The margin
 
-        (1/w) * (damping - w'/w) - gain(t, 1/w) - drive
+        -w'/w**2 - k(t) * (1/w)**(2p) - drive(t)
 
     is evaluated in factored form on a uniform grid over [0, t_max];
     certification requires the minimum margin >= 0, the start condition
@@ -519,7 +462,6 @@ def check_weight(
         raise ValueError("t_max must be > 0")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    _check_gain_shape(data)
     d = _reduction_data(data, type(weight))
     grid = np.linspace(0.0, t_max, n_samples)
     margins = _margin_factored(d, weight, grid)

@@ -30,7 +30,6 @@ from .expr import (
     differentiate,
     evaluate,
     parse,
-    to_text,
     variables,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "build_problem",
     "validate_decay",
     "problem_from_dict",
-    "problem_to_dict",
     "load_problem",
 ]
 
@@ -355,20 +353,6 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         return build_problem(data["f"], data["a"], forcing, kernel)
     except (ValueError, ExprError) as exc:
         raise ProblemFileError(str(exc)) from exc
-
-
-def problem_to_dict(spec: ProblemSpec) -> dict:
-    return {
-        "f": to_text(spec.f),
-        "a": to_text(spec.a),
-        "c0": spec.forcing_env.c0,
-        "b0": spec.forcing_env.b0,
-        "c1": spec.kernel_env.c1,
-        "b1": spec.kernel_env.b1,
-        "c2": spec.kernel_env.c2,
-        "b": spec.kernel_env.b,
-        "p": spec.kernel_env.p,
-    }
 
 
 def load_problem(path: Union[str, Path]) -> ProblemSpec:

@@ -60,24 +60,23 @@ class NonConvergenceError(Exception):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid t_k = t0 + k*h with n = round((t_end - t0)/h) + 1 nodes."""
+    """Uniform grid t_k = k*h with n = round(t_end/h) + 1 nodes."""
 
     t_end: float
     h: float
-    t0: float = 0.0
 
     def __post_init__(self):
         if not (self.h > 0.0):
             raise ValueError("h must be > 0")
-        if not (self.t_end > self.t0):
-            raise ValueError("t_end must exceed t0")
+        if not (self.t_end > 0.0):
+            raise ValueError("t_end must be > 0")
 
     @property
     def n(self) -> int:
-        return int(round((self.t_end - self.t0) / self.h)) + 1
+        return int(round(self.t_end / self.h)) + 1
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(self.n)
+        return self.h * np.arange(self.n)
 
 
 @dataclass(frozen=True)
@@ -225,8 +224,8 @@ def solve(
         raise ValueError("blowup_cap must be > 0")
 
     tgrid = grid.times()
-    u0 = float(evaluate(spec.f, {"t": grid.t0}))
-    hist = _History(float(grid.t0), u0, spec.a)
+    u0 = float(evaluate(spec.f, {"t": 0.0}))
+    hist = _History(0.0, u0, spec.a)
     values = [u0]
     status: Status = Completed()
 

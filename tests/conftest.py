@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from volterrabound import ForcingEnvelope, KernelEnvelope, build_problem
+from volterrabound import ExponentialDecayData, ForcingEnvelope, KernelEnvelope, build_problem
 
 HALF_PI = math.pi / 2.0
 
@@ -82,6 +83,16 @@ def atan_spec():
 @pytest.fixture
 def quadratic_spec():
     return spec_from(QUADRATIC_PROBLEM)
+
+
+def decay_terms(decay, t):
+    """The three drive terms of a decay record at t, from its named
+    constants; k(t) is the sum of the last two."""
+    if isinstance(decay, ExponentialDecayData):
+        pairs = ((decay.c0, decay.b0), (decay.c1, decay.b1), (decay.c2, decay.b))
+        return [c * np.exp(-rate * t) for c, rate in pairs]
+    pairs = ((decay.d0, decay.e0), (decay.d1, decay.e1), (decay.d2, decay.e2))
+    return [c * (1.0 + t) ** -order for c, order in pairs]
 
 
 def write_problem(path, problem: dict) -> str:

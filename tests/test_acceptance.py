@@ -9,6 +9,7 @@ here, not tuned.
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from volterrabound import (
     evaluate,
     make_exponential_data,
     make_power_data,
-    norm_derivative_check,
     propagate_majorant,
     search_exponential,
     solve,
@@ -262,6 +262,33 @@ def test_criterion_8_derivative_engine():
         worst <= 1e-6,
         f"worst relative deviation {worst:.2e}",
     )
+
+
+@dataclass(frozen=True)
+class NormDerivativeReport:
+    max_violation: float
+    worst_t: float
+
+
+def norm_derivative_check(samples, h: float) -> NormDerivativeReport:
+    """Check that |u|' never exceeds |u'| along sampled data.
+
+    ``samples`` lists (t, u(t), u'(t)) at consecutive points spaced h
+    apart.  The one-sided quotient (|u(t+h)| - |u(t)|) / h is compared
+    against |u'(t)|; for C1 data the excess stays O(h) above zero, also
+    across corners of |u|.
+    """
+    if h <= 0.0:
+        raise ValueError("h must be > 0")
+    if len(samples) < 2:
+        raise ValueError("need at least two samples")
+    worst = (-np.inf, float(samples[0][0]))
+    for (t0, u0, du0), (_, u1, _) in zip(samples[:-1], samples[1:]):
+        quotient = (abs(u1) - abs(u0)) / h
+        violation = quotient - abs(du0)
+        if violation > worst[0]:
+            worst = (violation, float(t0))
+    return NormDerivativeReport(max_violation=float(worst[0]), worst_t=worst[1])
 
 
 def test_criterion_9_norm_derivative_property():

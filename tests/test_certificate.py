@@ -8,30 +8,25 @@ from volterrabound import (
     Certified,
     Completed,
     ExponentComparison,
+    ExponentialDecayData,
     ExponentialWeight,
     Grid,
-    InequalityData,
     PowerWeight,
     Refused,
     Trajectory,
     build_problem,
     check_weight,
     derive_inequality,
-    evaluate,
     make_exponential_data,
     make_power_data,
-    parse,
     search_exponential,
     search_power,
     solve,
     verify_solution_bound,
 )
-from volterrabound.expr import Constant
 from volterrabound.model import ForcingEnvelope, KernelEnvelope
 
-from conftest import spec_from, QUADRATIC_PROBLEM
-
-ZERO = Constant(0.0)
+from conftest import decay_terms, spec_from, QUADRATIC_PROBLEM
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +36,11 @@ ZERO = Constant(0.0)
 
 def test_derive_quadratic_example(quadratic_spec):
     data = derive_inequality(quadratic_spec)
-    # drive = 1 + 1 = 2 (constant), gain = g^2, no damping
-    assert evaluate(data.drive, {"t": 0.0}) == 2.0
-    assert evaluate(data.drive, {"t": 7.3}) == 2.0
-    for g in (0.0, 0.5, 3.0):
-        assert evaluate(data.gain, {"t": 1.0, "u": g}) == g * g
-    assert evaluate(data.damping, {"t": 0.0}) == 0.0
+    assert data.decay == ExponentialDecayData(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    # drive = 1 + 1 = 2 (constant), gain = 1 * g^2
+    drive, k = data.decay.tabulate(np.array([0.0, 1.0, 7.3]))
+    assert drive.tolist() == [2.0, 2.0, 2.0]
+    assert k.tolist() == [1.0, 1.0, 1.0]
     assert data.initial == 1.0
 
 
@@ -55,9 +49,10 @@ def test_derive_vanishing_kernel_envelope():
         "exp(-t)", "0", ForcingEnvelope(c0=2.0, b0=1.0), KernelEnvelope(0, 0, 0, 0, 1)
     )
     data = derive_inequality(spec)
-    for t in (0.0, 0.4, 3.0):
-        assert evaluate(data.gain, {"t": t, "u": 5.0}) == 0.0
-        assert evaluate(data.drive, {"t": t}) == pytest.approx(2.0 * math.exp(-t), rel=1e-15)
+    ts = np.array([0.0, 0.4, 3.0])
+    drive, k = data.decay.tabulate(ts)
+    assert np.all(k == 0.0)
+    assert drive == pytest.approx(2.0 * np.exp(-ts), rel=1e-15)
 
 
 def test_derive_atan_structure(atan_spec):
@@ -65,15 +60,12 @@ def test_derive_atan_structure(atan_spec):
     data = derive_inequality(atan_spec)
     hp = math.pi / 2.0
     for t in (0.0, 0.7, 2.5):
+        drive, k = data.decay.tabulate(np.array([t]))
         expected_drive = 2.0 * math.exp(-t) + hp * math.exp(-2.0 * t) + hp * math.exp(-t)
-        assert evaluate(data.drive, {"t": t}) == pytest.approx(expected_drive, rel=1e-14)
-        for g in (0.0, 1.0, 4.0):
-            expected_gain = (hp * math.exp(-2.0 * t) + hp * math.exp(-t)) * g
-            assert evaluate(data.gain, {"t": t, "u": g}) == pytest.approx(
-                expected_gain, rel=1e-14, abs=1e-300
-            )
+        assert drive[0] == pytest.approx(expected_drive, rel=1e-14)
+        assert k[0] == pytest.approx(hp * math.exp(-2.0 * t) + hp * math.exp(-t), rel=1e-14)
     assert data.initial == 1.0  # |f(0)| = 1, not the looser c0 = 2
-    assert data.exp_data is not None and data.exp_data.p == 0.5
+    assert isinstance(data.decay, ExponentialDecayData) and data.decay.p == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +100,6 @@ def test_check_weight_rejects_nonpositive_weight():
 
 
 def test_check_weight_needs_matching_decay_data():
-    data = InequalityData(damping=ZERO, gain=ZERO, drive=ZERO, initial=0.5)
-    with pytest.raises(ValueError, match="exponential decay data"):
-        check_weight(data, ExponentialWeight(1.0, 1.0))
     power = make_power_data(1.0, 2.0, 0, 0, 0, 0, 1.0, initial=0.5)
     with pytest.raises(ValueError, match="exponential decay data"):
         check_weight(power, ExponentialWeight(1.0, 1.0))
@@ -119,14 +108,34 @@ def test_check_weight_needs_matching_decay_data():
         check_weight(exponential, PowerWeight(1.0, 1.0))
 
 
-def test_check_weight_rejects_decreasing_gain():
-    data = InequalityData(damping=ZERO, gain=parse("1/(1+u)"), drive=ZERO, initial=0.0)
-    with pytest.raises(ValueError, match="non-decreasing"):
-        check_weight(data, ExponentialWeight(1.0, 1.0))
+def test_decay_records_reject_bad_constants():
+    # Finite constants, amplitudes >= 0 and p > 0 make the gain
+    # k(t) * g^(2p) non-negative and non-decreasing in g >= 0.
+    for make, names in (
+        (make_exponential_data, ("c0", "b0", "c1", "b1", "c2", "b", "p")),
+        (make_power_data, ("d0", "e0", "d1", "e1", "d2", "e2", "p")),
+    ):
+        good = dict(zip(names, (0.5, 1.0, 0.5, 1.0, 0.5, 1.0, 1.0)))
+        assert make(**good, initial=0.5).decay.p == 1.0
+        for name in names:
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+                    make(**{**good, name: bad}, initial=0.5)
+        for name in names[0:6:2]:
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+                make(**{**good, name: -1e-300}, initial=0.5)
+        for p in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^p must be > 0"):
+                make(**{**good, "p": p}, initial=0.5)
+        for initial in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^initial must be a finite number"):
+                make(**good, initial=initial)
+        with pytest.raises(ValueError, match="^initial must be >= 0"):
+            make(**good, initial=-1.0)
 
 
 def test_check_weight_argument_checks():
-    data = InequalityData(damping=ZERO, gain=ZERO, drive=ZERO, initial=0.0)
+    data = make_exponential_data(0, 0, 0, 0, 0, 0, 1.0, initial=0.0)
     with pytest.raises(ValueError):
         check_weight(data, ExponentialWeight(1.0, 1.0), t_max=-1.0)
     with pytest.raises(ValueError):
@@ -215,7 +224,7 @@ def test_search_level_overflow_is_a_refusal():
 
 
 def test_search_requires_exponential_data():
-    data = InequalityData(damping=ZERO, gain=ZERO, drive=ZERO, initial=0.0)
+    data = make_power_data(1.0, 2.0, 0, 0, 0, 0, 1.0, initial=0.0)
     with pytest.raises(ValueError, match="exponential decay data"):
         search_exponential(data)
 
@@ -244,13 +253,22 @@ def test_search_rate_monotonicity():
             assert again.certified, (w, factor)
 
 
+def _margin_direct(data, weight, t):
+    """The margin -w'/w^2 - k(t) * (1/w)^(2p) - drive(t) by direct
+    substitution of 1/w, with k and drive summed from the constants."""
+    inv = 1.0 / weight.values(t)
+    drive_0, drive_1, drive_2 = decay_terms(data.decay, t)
+    gain = (drive_1 + drive_2) * inv ** (2.0 * data.decay.p)
+    return inv * (-weight.derivative_values(t) * inv) - gain - (drive_0 + drive_1 + drive_2)
+
+
 def test_margin_factored_path_matches_direct_expression():
     # Dual route: the factored margin must agree pointwise with the
-    # margin assembled from the damping/gain/drive expressions, for
+    # margin by direct substitution into the inequality, for
     # exponential weights on exponential data and for power weights on
     # power data, whose factored margin goes through log-time and the
     # 1/(1+t) scaling.
-    from volterrabound.certificate import _margin_factored, _margin_generic, _reduction_data
+    from volterrabound.certificate import _margin_factored, _reduction_data
 
     rng = np.random.default_rng(11)
     ts = np.linspace(0.0, 20.0, 401)
@@ -267,7 +285,7 @@ def test_margin_factored_path_matches_direct_expression():
             data = make(c0, b0, c1, b1, c2, b, p, initial=0.1)
             weight = family(coefficient=c3, rate=q)
             factored = _margin_factored(_reduction_data(data, family), weight, ts)
-            direct = _margin_generic(data, weight, ts)
+            direct = _margin_direct(data, weight, ts)
             scale = 1.0 + np.abs(direct)
             assert np.all(np.abs(factored - direct) <= 1e-9 * scale), family
 
@@ -337,8 +355,9 @@ def test_power_zero_initial_trivially_strict():
 def _assert_power_condition_pointwise(data, w, ts):
     # independent pointwise inequality check of the defining condition
     for t in ts:
-        lhs = evaluate(data.gain, {"t": float(t), "u": (1.0 + t) ** w.rate / w.coefficient})
-        lhs += evaluate(data.drive, {"t": float(t)})
+        drive_0, drive_1, drive_2 = decay_terms(data.decay, float(t))
+        bound = (1.0 + t) ** w.rate / w.coefficient
+        lhs = (drive_1 + drive_2) * bound ** (2.0 * data.decay.p) + drive_0 + drive_1 + drive_2
         rhs = w.rate * (1.0 + t) ** (w.rate - 1.0) / w.coefficient
         assert lhs <= rhs * (1.0 + 1e-12), t
 

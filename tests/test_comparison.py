@@ -8,54 +8,56 @@ from volterrabound import (
     Completed,
     ExponentialWeight,
     Grid,
-    InequalityData,
     check_weight,
     derive_inequality,
-    evaluate,
     make_exponential_data,
-    norm_derivative_check,
-    parse,
+    make_power_data,
     propagate_majorant,
     search_exponential,
     solve,
     validate_decay,
-    write_majorant_csv,
 )
-from volterrabound.expr import Constant
 
+from conftest import decay_terms
+from test_acceptance import norm_derivative_check
 
-
-ZERO = Constant(0.0)
+# g' = 1 + g^2, g(0) = 1: drive = 1 and k = 1, with closed form
+# tan(t + pi/4), which leaves the reals at t = pi/4.
+TANGENT = make_exponential_data(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, initial=1.0)
 
 
 def test_zero_right_side_constant_curve():
-    data = InequalityData(damping=ZERO, gain=ZERO, drive=ZERO, initial=3.0)
+    data = make_exponential_data(0, 0, 0, 0, 0, 0, 1.0, initial=3.0)
     curve = propagate_majorant(data, Grid(t_end=2.0, h=0.1))
     assert isinstance(curve.status, Completed)
     assert np.all(curve.values == 3.0)
 
 
 def test_quadratic_majorant_matches_closed_form():
-    # g' = g^2, g(0) = 1 has closed form 1/(1-t).
-    data = InequalityData(damping=ZERO, gain=parse("u^2"), drive=ZERO, initial=1.0)
-    curve = propagate_majorant(data, Grid(t_end=0.5, h=1e-3))
-    assert abs(curve.values[-1] - 2.0) < 1e-6
+    curve = propagate_majorant(TANGENT, Grid(t_end=0.5, h=1e-3))
+    assert abs(curve.values[-1] - math.tan(0.5 + math.pi / 4.0)) < 1e-6
 
 
 def test_quadratic_majorant_blow_up():
-    data = InequalityData(damping=ZERO, gain=parse("u^2"), drive=ZERO, initial=1.0)
-    curve = propagate_majorant(data, Grid(t_end=2.0, h=1e-3))
+    curve = propagate_majorant(TANGENT, Grid(t_end=2.0, h=1e-3))
     assert isinstance(curve.status, BlowUp)
-    assert 0.9 < curve.status.t_star < 1.1
+    assert abs(curve.status.t_star - math.pi / 4.0) < 2e-3
     assert len(curve.values) < Grid(t_end=2.0, h=1e-3).n
 
 
+def test_overflowing_stage_is_blow_up():
+    # g' = g^100 + 1 from g(0) = 1: in the second step, the power of a
+    # stage's state overflows before any value crosses the cap.
+    data = make_exponential_data(0, 0, 1, 0, 0, 0, 50.0, initial=1.0)
+    curve = propagate_majorant(data, Grid(t_end=1.0, h=0.01))
+    assert curve.status == BlowUp(t_star=0.015)
+
+
 def test_rk4_convergence_order():
-    data = InequalityData(damping=ZERO, gain=parse("u^2"), drive=ZERO, initial=1.0)
     errors = []
     for h in (0.02, 0.01, 0.005):
-        curve = propagate_majorant(data, Grid(t_end=0.5, h=h))
-        errors.append(abs(curve.values[-1] - 2.0))
+        curve = propagate_majorant(TANGENT, Grid(t_end=0.5, h=h))
+        errors.append(abs(curve.values[-1] - math.tan(0.5 + math.pi / 4.0)))
     for e0, e1 in zip(errors, errors[1:]):
         order = math.log2(e0 / e1)
         assert 3.6 <= order <= 4.4
@@ -113,11 +115,14 @@ def test_majorant_nonstrict_equality_at_start():
 
 
 def _scalar_rk4(data, grid):
-    """RK4 on the equality, every expression evaluated at every stage."""
+    """RK4 on the equality, drive and k summed from the record's
+    constants at every stage.  The terms go through numpy's exp and power
+    on one-element arrays, as the tabulation does on the whole grid."""
+    two_p = 2.0 * data.decay.p
 
     def rhs(t, g):
-        damping = evaluate(data.damping, {"t": t})
-        return -damping * g + evaluate(data.gain, {"t": t, "u": g}) + evaluate(data.drive, {"t": t})
+        terms = [float(x[0]) for x in decay_terms(data.decay, np.array([t]))]
+        return (terms[1] + terms[2]) * g**two_p + ((terms[0] + terms[1]) + terms[2])
 
     times, h, g = grid.times(), grid.h, data.initial
     values = [g]
@@ -133,32 +138,18 @@ def _scalar_rk4(data, grid):
 
 
 @pytest.mark.parametrize(
-    "gain, exact",
+    "data",
     [
-        ("atan(t*u)/(1 + t^2)", True),  # does not separate: the stage-by-stage loop
-        ("exp(-t)*u^2 + 0.5*exp(-2*t)*atan(u)", False),  # tabulated in t
+        make_exponential_data(0.5, 1.0, 0.3, 2.0, 0.2, 0.5, 0.75, initial=0.5),
+        make_power_data(0.5, 2.0, 0.3, 1.5, 0.2, 3.0, 0.75, initial=0.5),
     ],
+    ids=["exponential", "power"],
 )
-def test_majorant_matches_stage_by_stage_rk4(gain, exact):
-    data = InequalityData(
-        damping=parse("0.1"), gain=parse(gain), drive=parse("exp(-t)"), initial=0.5
-    )
+def test_majorant_matches_stage_by_stage_rk4(data):
     grid = Grid(t_end=5.0, h=0.01)
     curve = propagate_majorant(data, grid)
     assert isinstance(curve.status, Completed)
-    reference = _scalar_rk4(data, grid)
-    if exact:
-        assert np.array_equal(curve.values, reference)
-    else:
-        assert np.allclose(curve.values, reference, rtol=1e-14, atol=0.0)
-
-
-def test_majorant_domain_error_propagates():
-    from volterrabound import EvalDomainError
-
-    data = InequalityData(damping=ZERO, gain=ZERO, drive=parse("1/(1-t)"), initial=0.0)
-    with pytest.raises(EvalDomainError):
-        propagate_majorant(data, Grid(t_end=2.0, h=0.5))
+    assert np.array_equal(curve.values, _scalar_rk4(data, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +188,3 @@ def test_norm_derivative_argument_checks():
         norm_derivative_check([(0.0, 0.0, 0.0)], 1e-5)
     with pytest.raises(ValueError):
         norm_derivative_check([(0.0, 0.0, 0.0), (1e-5, 0.0, 0.0)], 0.0)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def test_majorant_csv(tmp_path):
-    data = InequalityData(damping=ZERO, gain=ZERO, drive=ZERO, initial=2.0)
-    curve = propagate_majorant(data, Grid(t_end=1.0, h=0.5))
-    path = tmp_path / "majorant.csv"
-    write_majorant_csv(curve, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,g"
-    assert lines[-1] == "# status=completed"
-    assert [float(line.split(",")[1]) for line in lines[1:-1]] == [2.0, 2.0, 2.0]

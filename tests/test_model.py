@@ -12,7 +12,7 @@ from volterrabound import (
     evaluate,
     load_problem,
     problem_from_dict,
-    problem_to_dict,
+    to_text,
     validate_decay,
 )
 from volterrabound.expr import ExprSyntaxError
@@ -158,6 +158,20 @@ def test_validation_argument_checks(atan_spec):
 # ---------------------------------------------------------------------------
 # Problem files
 # ---------------------------------------------------------------------------
+
+
+def problem_to_dict(spec):
+    return {
+        "f": to_text(spec.f),
+        "a": to_text(spec.a),
+        "c0": spec.forcing_env.c0,
+        "b0": spec.forcing_env.b0,
+        "c1": spec.kernel_env.c1,
+        "b1": spec.kernel_env.b1,
+        "c2": spec.kernel_env.c2,
+        "b": spec.kernel_env.b,
+        "p": spec.kernel_env.p,
+    }
 
 
 def test_problem_file_round_trip(tmp_path):

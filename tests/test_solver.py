@@ -40,6 +40,13 @@ def test_grid_nodes():
         Grid(t_end=0.0, h=0.1)
 
 
+def test_grid_always_starts_at_zero():
+    # The equation is posed from t = 0; a grid starting elsewhere would
+    # silently solve a different problem.
+    with pytest.raises(TypeError):
+        Grid(2.0, 0.01, 1.0)
+
+
 @pytest.mark.parametrize("f_text, fn", [("cos(t)", np.cos), ("exp(-t)", lambda t: np.exp(-t))])
 def test_zero_kernel_reproduces_forcing_exactly(f_text, fn):
     spec = zero_kernel_spec(f_text)
