@@ -28,8 +28,10 @@ Power-law decay data is the same problem in log-time tau = log(1+t):
 the change of variable turns a term d * (1+t)**(-e) into
 d * exp(-(e-1)*tau) and w(t) = coefficient * (1+t)**(-rate) into the
 exponential weight in tau.  One margin, one tail check and one
-closed-form search serve both families, and every certificate rests on
-the exponent comparison, which covers the whole half line.
+closed-form search serve both families.  With every tail exponent
+non-positive the normalized sum is non-increasing, so the condition holds
+for all t >= 0 exactly when its margin at t = 0 is >= 0: every verdict
+is decided from scalars, with no sampled grid.
 """
 
 from __future__ import annotations
@@ -40,15 +42,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .expr import (
-    Binary,
-    Constant,
-    Expr,
-    Unary,
-    Variable,
-    evaluate,
-    to_text,
-)
+from .expr import evaluate
 from .model import ProblemSpec, _require_finite
 from .solver import Completed, Trajectory
 
@@ -84,62 +78,41 @@ _COEFF_CAP = 1e8  # right end when the start condition puts no limit
 # ---------------------------------------------------------------------------
 
 
-def _var_t() -> Expr:
-    return Variable("t")
-
-
 @dataclass(frozen=True)
-class ExponentialWeight:
-    """w(t) = coefficient * exp(-rate * t); implied bound exp(rate*t)/coefficient."""
+class _Weight:
+    """The two constants of a weight, finite and > 0."""
 
     coefficient: float
     rate: float
 
     def __post_init__(self):
+        _require_finite(coefficient=self.coefficient, rate=self.rate)
         if not (self.coefficient > 0.0 and self.rate > 0.0):
             raise ValueError("coefficient and rate must be > 0")
 
-    def values(self, t):
-        return self.coefficient * np.exp(-self.rate * np.asarray(t, dtype=float))
 
-    def derivative_values(self, t):
-        return -self.rate * self.values(t)
+@dataclass(frozen=True)
+class ExponentialWeight(_Weight):
+    """w(t) = coefficient * exp(-rate * t); implied bound exp(rate*t)/coefficient."""
 
     def bound_values(self, t):
         with np.errstate(over="ignore"):
             return np.exp(self.rate * np.asarray(t, dtype=float)) / self.coefficient
 
-    def bound_expr(self) -> Expr:
-        grow = Unary("exp", Binary("mul", Constant(self.rate), _var_t()))
-        return Binary("div", grow, Constant(self.coefficient))
+    def bound_text(self) -> str:
+        return f"(exp(({float(self.rate)!r} * t)) / {float(self.coefficient)!r})"
 
 
 @dataclass(frozen=True)
-class PowerWeight:
+class PowerWeight(_Weight):
     """w(t) = coefficient * (1+t)**(-rate); implied bound (1+t)**rate / coefficient."""
-
-    coefficient: float
-    rate: float
-
-    def __post_init__(self):
-        if not (self.coefficient > 0.0 and self.rate > 0.0):
-            raise ValueError("coefficient and rate must be > 0")
-
-    def values(self, t):
-        return self.coefficient * (1.0 + np.asarray(t, dtype=float)) ** (-self.rate)
-
-    def derivative_values(self, t):
-        return -self.rate * self.coefficient * (1.0 + np.asarray(t, dtype=float)) ** (
-            -self.rate - 1.0
-        )
 
     def bound_values(self, t):
         with np.errstate(over="ignore"):
             return (1.0 + np.asarray(t, dtype=float)) ** self.rate / self.coefficient
 
-    def bound_expr(self) -> Expr:
-        grow = Binary("pow", Binary("add", Constant(1.0), _var_t()), Constant(self.rate))
-        return Binary("div", grow, Constant(self.coefficient))
+    def bound_text(self) -> str:
+        return f"(((1.0 + t) ^ {float(self.rate)!r}) / {float(self.coefficient)!r})"
 
 
 WeightFamily = Union[ExponentialWeight, PowerWeight]
@@ -300,8 +273,8 @@ class Refused:
 @dataclass(frozen=True)
 class ExponentComparison:
     """Exact tail condition: the listed exponents must all be <= 0, so
-    the normalized condition attains its supremum at t = 0 and the grid
-    check extends to the whole half line."""
+    the normalized condition attains its supremum at t = 0 and the
+    margin there decides the whole half line."""
 
     exponents: tuple[float, ...]
 
@@ -316,7 +289,6 @@ class Certificate:
     verdict: Union[Certified, Refused]
     margin_min: Optional[float]
     tail_check: ExponentComparison
-    bound: Optional[Expr]
 
     @property
     def certified(self) -> bool:
@@ -332,7 +304,7 @@ class Certificate:
             "family": _family_name(self.weight),
             "verdict": "certified" if self.certified else "refused",
             "margin_min": _json_float(self.margin_min),
-            "bound": to_text(self.bound) if self.bound is not None else None,
+            "bound": self.weight.bound_text() if self.weight is not None else None,
         }
         if self.weight is not None:
             out["coefficient"] = self.weight.coefficient
@@ -369,13 +341,21 @@ def _refusal(reason: str, margin: Optional[float], exponents: tuple) -> Certific
         verdict=Refused(reason),
         margin_min=margin,
         tail_check=ExponentComparison(exponents),
-        bound=None,
     )
 
 
 # ---------------------------------------------------------------------------
 # Margin evaluation
 # ---------------------------------------------------------------------------
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, with an overflow (c < 1 raised to a huge
+    negative power) read as inf."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def _log_time_data(d: PowerDecayData) -> ExponentialDecayData:
@@ -415,67 +395,49 @@ def _tail_exponents(terms, rate: float) -> tuple[float, ...]:
     return tuple(slope * rate - decay for _, _, slope, decay in terms)
 
 
-def _margin_factored(d: ExponentialDecayData, weight: WeightFamily, t: np.ndarray) -> np.ndarray:
-    """margin(t) = (q/c) * exp(q*tau) * (1 - normalized sum), with tau = t
-    for exponential weights and tau = log(1+t), divided by 1+t, for
-    power weights.
+def _margin_at_zero(d: ExponentialDecayData, weight: WeightFamily) -> float:
+    """margin(0) = -w'/w**2 - k * (1/w)**(2p) - drive at t = 0, in the
+    factored form (q/c) * (1 - normalized sum); tau = log(1+0) = 0 makes
+    it the same for both weight families.
 
-    The factored form never produces NaN: the factor > 0 may overflow to
-    inf, and the normalized sum is exactly zero at equality.
+    The factored form never produces NaN: q/c may overflow to inf, and
+    the normalized sum is exactly zero at equality.
     """
-    power = isinstance(weight, PowerWeight)
-    tau = np.log1p(t) if power else t
     q, c = weight.rate, weight.coefficient
-    shrink = c ** (1.0 - 2.0 * d.p)
-    total = np.zeros_like(tau)
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor = (q / c) * np.exp(q * tau)
-        for amplitude, state, slope, decay in _reduction_terms(d):
-            coef = amplitude * (shrink if state else c) / q
-            total = total + coef * np.exp((slope * q - decay) * tau)
-        normalized = 1.0 - total
-        # inf * 0 in the discarded branch of the where is masked out
-        margin = np.where(normalized == 0.0, 0.0, factor * normalized)
-    return margin / (1.0 + t) if power else margin
+    shrink = _power(c, 1.0 - 2.0 * d.p)
+    total = 0.0
+    for amplitude, state, _, _ in _reduction_terms(d):
+        total = total + amplitude * (shrink if state else c) / q
+    normalized = 1.0 - total
+    return 0.0 if normalized == 0.0 else (q / c) * normalized
 
 
-def check_weight(
-    data: InequalityData,
-    weight: WeightFamily,
-    t_max: float = 50.0,
-    n_samples: int = 5001,
-) -> Certificate:
+def check_weight(data: InequalityData, weight: WeightFamily) -> Certificate:
     """Check one candidate weight against the inequality data.
 
     The weight needs the matching decay record (exponential for an
     exponential weight, power-law for a power weight); otherwise this
-    raises ValueError.  The margin
+    raises ValueError.  Certification requires every tail exponent
+    <= 0, the margin
 
         -w'/w**2 - k(t) * (1/w)**(2p) - drive(t)
 
-    is evaluated in factored form on a uniform grid over [0, t_max];
-    certification requires the minimum margin >= 0, the start condition
-    w(0)*g(0) <= 1 (strict bound when < 1), and every tail exponent
-    <= 0, which extends the condition from t = 0 to all t >= 0.
+    at t = 0 to be >= 0, and the start condition w(0)*g(0) <= 1 (strict
+    bound when < 1).  The non-positive tail exponents make the
+    normalized condition non-increasing in t, so the margin at t = 0
+    decides it for all t >= 0.
     """
-    if not (t_max > 0.0):
-        raise ValueError("t_max must be > 0")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
     d = _reduction_data(data, type(weight))
-    grid = np.linspace(0.0, t_max, n_samples)
-    margins = _margin_factored(d, weight, grid)
+    margin = _margin_at_zero(d, weight)
     tail = ExponentComparison(_tail_exponents(_reduction_terms(d), weight.rate))
     start = weight.coefficient * data.initial
 
-    margin_min = float(np.min(margins))
     failures = []
     if not tail.passed:
         positive = [x for x in tail.exponents if x > 0.0]
         failures.append(f"positive tail exponent(s) {positive}")
-    if margin_min < 0.0:
-        worst = float(grid[int(np.argmin(margins))])
-        failures.append(f"negative margin {margin_min:.6g} at t={worst:.6g}")
+    if not (margin >= 0.0):
+        failures.append(f"negative margin {margin:.6g} at t=0")
     if start > 1.0:
         failures.append(f"start condition failed: w(0)*g(0) = {start:.6g} > 1")
 
@@ -483,13 +445,7 @@ def check_weight(
         verdict: Union[Certified, Refused] = Refused("; ".join(failures))
     else:
         verdict = Certified(strict=bool(start < 1.0))
-    return Certificate(
-        weight=weight,
-        verdict=verdict,
-        margin_min=margin_min,
-        tail_check=tail,
-        bound=weight.bound_expr(),
-    )
+    return Certificate(weight=weight, verdict=verdict, margin_min=margin, tail_check=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +486,7 @@ def _rate_interval(terms) -> tuple[float, float]:
     return floor, cap
 
 
-def _search(data: InequalityData, family: type, t_max: float, n_samples: int) -> Certificate:
+def _search(data: InequalityData, family: type) -> Certificate:
     d = _reduction_data(data, family)
     terms = _reduction_terms(d)
     floor, cap = _rate_interval(terms)
@@ -570,10 +526,7 @@ def _search(data: InequalityData, family: type, t_max: float, n_samples: int) ->
         # convex with its minimum where h'(c) = 0; the rate is the cap.
         c_star = ((2.0 * d.p - 1.0) * state_total / total) ** (1.0 / (2.0 * d.p))
         coefficient = min(max(c_star, lo), hi)
-        try:
-            level = total * coefficient + state_total * coefficient ** (1.0 - 2.0 * d.p)
-        except OverflowError:  # c < 1 raised to a huge negative power
-            level = math.inf
+        level = total * coefficient + state_total * _power(coefficient, 1.0 - 2.0 * d.p)
         if level > cap:
             return _refusal(
                 f"level condition failed: min h = {level:.6g} exceeds the largest "
@@ -597,12 +550,10 @@ def _search(data: InequalityData, family: type, t_max: float, n_samples: int) ->
                 (),
             )
         rate = float(RATE_GRID[i])
-    return check_weight(data, family(coefficient, rate), t_max, n_samples)
+    return check_weight(data, family(coefficient, rate))
 
 
-def search_exponential(
-    data: InequalityData, t_max: float = 50.0, n_samples: int = 5001
-) -> Certificate:
+def search_exponential(data: InequalityData) -> Certificate:
     """Search the family w(t) = c * exp(-rate*t) for a certificate.
 
     Admissible rates keep every tail exponent non-positive.  For p > 1/2
@@ -614,19 +565,17 @@ def search_exponential(
     rate the first point of RATE_GRID at or above its level (slowest
     certified growth on the grid).  A refusal is a verdict, not an error.
     """
-    return _search(data, ExponentialWeight, t_max, n_samples)
+    return _search(data, ExponentialWeight)
 
 
-def search_power(
-    data: InequalityData, t_max: float = 50.0, n_samples: int = 5001
-) -> Certificate:
+def search_power(data: InequalityData) -> Certificate:
     """Search the family w(t) = c * (1+t)**(-rate) for a certificate.
 
     Requires power-law decay data.  This is :func:`search_exponential`
     in log-time tau = log(1+t), where a decay order e_i is the
     exponential rate e_i - 1; orders below 1 put a floor under the rate.
     """
-    return _search(data, PowerWeight, t_max, n_samples)
+    return _search(data, PowerWeight)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def _certify_pipeline(
     if not report.passed:
         log.info("decay hypotheses failed numerical validation")
     data = derive_inequality(spec)
-    cert = search_exponential(data, t_max=t_max)
+    cert = search_exponential(data)
     return report, cert, data
 
 
@@ -262,7 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="validate hypotheses and search for a growth bound")
     add_common(p_cert)
-    p_cert.add_argument("--t-max", type=float, default=50.0, help="check horizon (default 50)")
+    p_cert.add_argument(
+        "--t-max", type=float, default=50.0, help="hypothesis sampling horizon (default 50)"
+    )
     p_cert.add_argument("--u-max", type=float, default=10.0, help="state sample range (default 10)")
     p_cert.set_defaults(func=cmd_certify)
 
@@ -270,7 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     p_verify.add_argument("--t-end", type=float, default=10.0)
     p_verify.add_argument("--step", type=float, default=1e-3)
-    p_verify.add_argument("--t-max", type=float, default=50.0)
+    p_verify.add_argument(
+        "--t-max", type=float, default=50.0, help="hypothesis sampling horizon (default 50)"
+    )
     p_verify.add_argument("--u-max", type=float, default=10.0)
     p_verify.set_defaults(func=cmd_verify)
 

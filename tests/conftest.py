@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from volterrabound import ExponentialDecayData, ForcingEnvelope, KernelEnvelope, build_problem
+from volterrabound import (
+    ExponentialDecayData,
+    ExponentialWeight,
+    ForcingEnvelope,
+    KernelEnvelope,
+    build_problem,
+)
 
 HALF_PI = math.pi / 2.0
 
@@ -93,6 +99,25 @@ def decay_terms(decay, t):
         return [c * np.exp(-rate * t) for c, rate in pairs]
     pairs = ((decay.d0, decay.e0), (decay.d1, decay.e1), (decay.d2, decay.e2))
     return [c * (1.0 + t) ** -order for c, order in pairs]
+
+
+def margin_direct(data, weight, t):
+    """The margin -w'/w^2 - k(t) * (1/w)^(2p) - drive(t) by direct
+    substitution: 1/w and -w'/w^2 from the weight's two constants, k and
+    drive summed from the decay record's constants.  1/w overflows to
+    inf for large rate * t."""
+    t = np.asarray(t, dtype=float)
+    q, c = weight.rate, weight.coefficient
+    with np.errstate(over="ignore"):
+        if isinstance(weight, ExponentialWeight):
+            inv = np.exp(q * t) / c  # -w'/w^2 = q * w / w^2
+            growth = q * inv
+        else:
+            inv = (1.0 + t) ** q / c  # -w'/w^2 = q * (1+t)^(q-1) / c
+            growth = q * inv / (1.0 + t)
+        drive_0, drive_1, drive_2 = decay_terms(data.decay, t)
+        gain = (drive_1 + drive_2) * inv ** (2.0 * data.decay.p)
+    return growth - gain - (drive_0 + drive_1 + drive_2)
 
 
 def write_problem(path, problem: dict) -> str:

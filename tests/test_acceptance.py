@@ -35,7 +35,7 @@ from volterrabound.certificate import RATE_GRID
 from volterrabound.cli import main as cli_main
 from volterrabound.model import ForcingEnvelope, KernelEnvelope
 
-from conftest import QUADRATIC_PROBLEM, atan_family_problem, write_problem
+from conftest import QUADRATIC_PROBLEM, atan_family_problem, margin_direct, write_problem
 from test_expr import _random_expr, central_difference
 
 HALF_PI = math.pi / 2.0
@@ -161,18 +161,18 @@ def test_criterion_6_closed_form_search_check():
     data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=0.1)
     cert = search_exponential(data)
     expected_c = math.sqrt(2.0 / 3.0)
-    grid_cert = check_weight(data, cert.weight, t_max=50.0, n_samples=5001)
+    grid_margin = float(np.min(margin_direct(data, cert.weight, np.linspace(0.0, 50.0, 5001))))
     ok = (
         cert.certified
         and cert.weight.rate == 2.0
         and abs(cert.weight.coefficient - expected_c) <= 1e-6
-        and grid_cert.margin_min >= -1e-12
+        and grid_margin >= -1e-12
     )
     _report(
         "criterion 6: closed-form search check",
         ok,
         f"rate={cert.weight.rate}, coeff={cert.weight.coefficient:.8f} "
-        f"(target {expected_c:.8f}), grid margin {grid_cert.margin_min:.3g}",
+        f"(target {expected_c:.8f}), grid margin {grid_margin:.3g}",
     )
 
 
@@ -189,11 +189,11 @@ def _certified_instances(rng, count):
         instances.append((eq_data, cert))
     # an explicit exponential and a power-law instance
     exp_data = make_exponential_data(0.2, 1.0, 0.2, 1.0, 0.1, 1.0, 1.0, initial=0.5)
-    explicit = check_weight(exp_data, ExponentialWeight(coefficient=0.5, rate=1.0), t_max=20.0)
+    explicit = check_weight(exp_data, ExponentialWeight(coefficient=0.5, rate=1.0))
     assert explicit.certified
     instances.append((exp_data, explicit))
     pow_data = make_power_data(0.5, 2.0, 0.25, 3.0, 0.25, 2.5, 1.0, initial=0.5)
-    pow_cert = check_weight(pow_data, PowerWeight(coefficient=0.5, rate=1.5), t_max=20.0)
+    pow_cert = check_weight(pow_data, PowerWeight(coefficient=0.5, rate=1.5))
     assert pow_cert.certified
     instances.append((pow_data, pow_cert))
     attempts = 0
@@ -204,7 +204,7 @@ def _certified_instances(rng, count):
         p = float(rng.choice([0.5, 0.75, 1.0, 1.5]))
         g0 = rng.uniform(0.0, 1.5)
         data = make_exponential_data(c0, b0, c1, b1, c2, b, p, initial=g0)
-        cert = search_exponential(data, t_max=20.0)
+        cert = search_exponential(data)
         if cert.certified:
             instances.append((data, cert))
     return instances[:count]

@@ -26,7 +26,7 @@ from volterrabound import (
 )
 from volterrabound.model import ForcingEnvelope, KernelEnvelope
 
-from conftest import decay_terms, spec_from, QUADRATIC_PROBLEM
+from conftest import decay_terms, margin_direct, spec_from, QUADRATIC_PROBLEM
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +134,24 @@ def test_decay_records_reject_bad_constants():
             make(**good, initial=-1.0)
 
 
-def test_check_weight_argument_checks():
-    data = make_exponential_data(0, 0, 0, 0, 0, 0, 1.0, initial=0.0)
-    with pytest.raises(ValueError):
-        check_weight(data, ExponentialWeight(1.0, 1.0), t_max=-1.0)
-    with pytest.raises(ValueError):
-        check_weight(data, ExponentialWeight(1.0, 1.0), n_samples=1)
+def test_weights_reject_non_finite_constants():
+    # An infinite coefficient would certify |u| <= exp(t)/inf = 0 on a
+    # NaN margin; the error names the field.
+    for family in (ExponentialWeight, PowerWeight):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^coefficient must be a finite number"):
+                family(bad, 1.0)
+            with pytest.raises(ValueError, match="^rate must be a finite number"):
+                family(1.0, bad)
+
+
+def test_check_weight_overflow_is_a_refusal():
+    # c < 1 raised to 1 - 2p = -5 overflows: the margin at t = 0 is -inf.
+    data = make_exponential_data(1, 1, 1, 1, 0, 0, 3.0, initial=0)
+    cert = check_weight(data, ExponentialWeight(1e-100, 0.5))
+    assert isinstance(cert.verdict, Refused)
+    assert cert.margin_min == -math.inf
+    assert "negative margin -inf at t=0" in cert.verdict.reason
 
 
 def test_strictness_propagation():
@@ -176,7 +188,7 @@ def test_search_refuses_quadratic_envelopes(quadratic_spec):
     data = derive_inequality(quadratic_spec)
     cert = search_exponential(data)
     assert isinstance(cert.verdict, Refused)
-    assert cert.weight is None and cert.bound is None
+    assert cert.weight is None and cert.to_dict()["bound"] is None
     # for every rate on the sweep grid the tail exponent is positive
     from volterrabound.certificate import RATE_GRID
 
@@ -253,25 +265,14 @@ def test_search_rate_monotonicity():
             assert again.certified, (w, factor)
 
 
-def _margin_direct(data, weight, t):
-    """The margin -w'/w^2 - k(t) * (1/w)^(2p) - drive(t) by direct
-    substitution of 1/w, with k and drive summed from the constants."""
-    inv = 1.0 / weight.values(t)
-    drive_0, drive_1, drive_2 = decay_terms(data.decay, t)
-    gain = (drive_1 + drive_2) * inv ** (2.0 * data.decay.p)
-    return inv * (-weight.derivative_values(t) * inv) - gain - (drive_0 + drive_1 + drive_2)
-
-
 def test_margin_factored_path_matches_direct_expression():
-    # Dual route: the factored margin must agree pointwise with the
+    # Dual route: the factored margin at t = 0 must agree with the
     # margin by direct substitution into the inequality, for
     # exponential weights on exponential data and for power weights on
-    # power data, whose factored margin goes through log-time and the
-    # 1/(1+t) scaling.
-    from volterrabound.certificate import _margin_factored, _reduction_data
+    # power data, whose factored margin goes through log-time.
+    from volterrabound.certificate import _margin_at_zero, _reduction_data
 
     rng = np.random.default_rng(11)
-    ts = np.linspace(0.0, 20.0, 401)
     for family, make, decay_range in (
         (ExponentialWeight, make_exponential_data, (0.0, 2.0)),
         (PowerWeight, make_power_data, (0.0, 4.0)),
@@ -284,18 +285,30 @@ def test_margin_factored_path_matches_direct_expression():
             c3 = rng.uniform(0.1, 1.5)
             data = make(c0, b0, c1, b1, c2, b, p, initial=0.1)
             weight = family(coefficient=c3, rate=q)
-            factored = _margin_factored(_reduction_data(data, family), weight, ts)
-            direct = _margin_direct(data, weight, ts)
-            scale = 1.0 + np.abs(direct)
-            assert np.all(np.abs(factored - direct) <= 1e-9 * scale), family
+            factored = _margin_at_zero(_reduction_data(data, family), weight)
+            direct = float(margin_direct(data, weight, 0.0))
+            assert abs(factored - direct) <= 1e-9 * (1.0 + abs(direct)), family
+
+
+def test_power_margin_is_reported_at_zero_for_rates_below_one():
+    # With rate < 1 the power margin (q/c) * (1+t)^(q-1) * (1 - sum)
+    # falls with t, but its sign is that at t = 0 and the certificate
+    # reports the margin there.
+    data = make_power_data(0.2, 2.0, 0.1, 3.0, 0.0, 0.0, 1.0, initial=0.5)
+    weight = PowerWeight(coefficient=1.0, rate=0.5)
+    cert = check_weight(data, weight)
+    assert cert.verdict == Certified(strict=True)
+    direct = margin_direct(data, weight, np.linspace(0.0, 50.0, 5001))
+    assert cert.margin_min == pytest.approx(float(direct[0]), rel=1e-12)
+    assert cert.margin_min > float(direct[-1]) > 0.0
 
 
 def test_reduction_equivalence_grid_vs_closed_form():
-    # For exponential weights on exponential data the grid margin on
-    # [0, 50] at resolution 1e-2 is >= 0 exactly when the closed-form
-    # conditions hold: every tail exponent <= 0 and h(c) <= rate.  The
-    # closed form here is recomputed from first principles, independent
-    # of the implementation's reduction.
+    # For exponential weights on exponential data both the verdict and
+    # the sign of the direct margin on [0, 50] at resolution 1e-2 follow
+    # the closed-form conditions: every tail exponent <= 0 and
+    # h(c) <= rate.  The closed form here is recomputed from first
+    # principles, independent of the implementation's reduction.
     rng = np.random.default_rng(20250810)
     coarse = lambda lo, hi: rng.integers(int(lo * 4), int(hi * 4) + 1) / 4.0
     checked = 0
@@ -312,10 +325,11 @@ def test_reduction_equivalence_grid_vs_closed_form():
         tails_ok = (2.0 * p - 1.0) * q - b1 <= 0.0 and (2.0 * p - 1.0) * q - b <= 0.0
         closed_form = tails_ok and level <= q
 
-        cert = check_weight(data, ExponentialWeight(c3, q), t_max=50.0, n_samples=5001)
-        assert (cert.margin_min >= 0.0) == closed_form, (
-            c0, b0, c1, b1, c2, b, p, q, c3, level, cert.margin_min,
-        )
+        weight = ExponentialWeight(c3, q)
+        cert = check_weight(data, weight)
+        grid_margin = float(np.min(margin_direct(data, weight, np.linspace(0.0, 50.0, 5001))))
+        assert cert.certified == closed_form, (c0, b0, c1, b1, c2, b, p, q, c3, level)
+        assert (grid_margin >= 0.0) == closed_form, (q, c3, level, grid_margin)
         checked += 1
 
 
@@ -429,7 +443,7 @@ def test_verify_bound_preconditions(quadratic_spec):
     blown = solve(quadratic_spec, Grid(t_end=2.0, h=0.01))
     with pytest.raises(ValueError, match="did not complete"):
         verify_solution_bound(blown, good)
-    refused = check_weight(data, ExponentialWeight(0.6, 2.0), t_max=1.0)
+    refused = check_weight(data, ExponentialWeight(0.6, 2.0))
     refused_hard = check_weight(
         derive_inequality(quadratic_spec), ExponentialWeight(0.5, 1.0)
     )
