@@ -43,7 +43,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .expr import evaluate
-from .model import ProblemSpec, _require_finite
+from .model import ProblemSpec, _json_float, _require_finite
 from .solver import Completed, Trajectory
 
 __all__ = [
@@ -295,7 +295,7 @@ class Certificate:
         return isinstance(self.verdict, Certified)
 
     def bound_values(self, t) -> np.ndarray:
-        if self.weight is None:
+        if not self.certified:
             raise ValueError("refused certificate carries no bound")
         return np.asarray(self.weight.bound_values(t), dtype=float)
 
@@ -304,7 +304,7 @@ class Certificate:
             "family": _family_name(self.weight),
             "verdict": "certified" if self.certified else "refused",
             "margin_min": _json_float(self.margin_min),
-            "bound": self.weight.bound_text() if self.weight is not None else None,
+            "bound": self.weight.bound_text() if self.certified else None,
         }
         if self.weight is not None:
             out["coefficient"] = self.weight.coefficient
@@ -327,12 +327,6 @@ def _family_name(weight: Optional[WeightFamily]) -> Optional[str]:
     if isinstance(weight, PowerWeight):
         return "power"
     return None
-
-
-def _json_float(x: Optional[float]):
-    if x is None:
-        return None
-    return x if math.isfinite(x) else repr(x)
 
 
 def _refusal(reason: str, margin: Optional[float], exponents: tuple) -> Certificate:

@@ -137,7 +137,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     write_trajectory_csv(traj, out / "trajectory.csv")
 
     payload: dict = {
-        "solver": {"status": _status_dict(traj)},
+        "solver": {"status": _status_token_dict(traj.status)},
         "validation": report.as_dict(),
         "certificate": cert.to_dict(),
     }
@@ -199,10 +199,6 @@ def _write_bound_csv(path: Path, traj: Trajectory, majorant: np.ndarray, cert: C
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _status_dict(traj: Trajectory) -> dict:
-    return _status_token_dict(traj.status)
-
-
 def _status_token_dict(status) -> dict:
     if isinstance(status, Completed):
         return {"kind": "completed"}
@@ -257,7 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="integrate the equation and export the trajectory")
     add_common(p_solve)
     p_solve.add_argument("--t-end", type=float, default=10.0, help="horizon (default 10)")
-    p_solve.add_argument("--step", type=float, default=1e-3, help="grid step (default 1e-3)")
+    p_solve.add_argument(
+        "--step", type=float, default=1e-3, help="grid step, must divide --t-end (default 1e-3)"
+    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_cert = sub.add_parser("certify", help="validate hypotheses and search for a growth bound")
@@ -271,7 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="solve, certify, and check the bound node by node")
     add_common(p_verify)
     p_verify.add_argument("--t-end", type=float, default=10.0)
-    p_verify.add_argument("--step", type=float, default=1e-3)
+    p_verify.add_argument(
+        "--step", type=float, default=1e-3, help="grid step, must divide --t-end (default 1e-3)"
+    )
     p_verify.add_argument(
         "--t-max", type=float, default=50.0, help="hypothesis sampling horizon (default 50)"
     )

@@ -467,9 +467,13 @@ def _compile(e: Expr, k: _Backend) -> Callable:
 # Differentiation
 # ---------------------------------------------------------------------------
 
-# Smart constructors applying only the safe simplifications: 0*x -> 0,
+# _binary and _neg build nodes with only the safe simplifications: 0*x -> 0,
 # 1*x -> x, x+0 -> x, x-0 -> x, constant (op) constant -> folded constant.
 # Nothing that could change the domain (no x/x -> 1, no 0/x -> 0).
+
+
+_ONE = Constant(1.0)
+_TWO = Constant(2.0)
 
 
 def _is_zero(e: Expr) -> bool:
@@ -480,71 +484,26 @@ def _is_one(e: Expr) -> bool:
     return isinstance(e, Constant) and e.value == 1.0
 
 
-def _fold_binary(op: str, a: Constant, b: Constant) -> Expr | None:
-    probe = Binary(op, a, b)
-    try:
-        return Constant(_compile(probe, _SCALAR)({}))
-    except ExprError:
-        return None  # folding would hide a domain error; keep the node
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_zero(a):
-        return b
-    if _is_zero(b):
-        return a
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        folded = _fold_binary("add", a, b)
-        if folded is not None:
-            return folded
-    return Binary("add", a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_zero(b):
-        return a
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        folded = _fold_binary("sub", a, b)
-        if folded is not None:
-            return folded
-    return Binary("sub", a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_zero(a) or _is_zero(b):
+def _binary(op: str, a: Expr, b: Expr) -> Expr:
+    if op == "mul" and (_is_zero(a) or _is_zero(b)):
         return Constant(0.0)
-    if _is_one(a):
+    if (op == "add" and _is_zero(a)) or (op == "mul" and _is_one(a)):
         return b
-    if _is_one(b):
+    if (op in ("add", "sub") and _is_zero(b)) or (op == "mul" and _is_one(b)):
         return a
+    node = Binary(op, a, b)
     if isinstance(a, Constant) and isinstance(b, Constant):
-        folded = _fold_binary("mul", a, b)
-        if folded is not None:
-            return folded
-    return Binary("mul", a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        folded = _fold_binary("div", a, b)
-        if folded is not None:
-            return folded
-    return Binary("div", a, b)
+        try:
+            return Constant(_compile(node, _SCALAR)({}))
+        except ExprError:
+            pass  # folding would hide a domain error; keep the node
+    return node
 
 
 def _neg(a: Expr) -> Expr:
     if isinstance(a, Constant):
         return Constant(-a.value)
     return Unary("neg", a)
-
-
-def _pow(base: Expr, exponent: float) -> Expr:
-    c = Constant(exponent)
-    if isinstance(base, Constant):
-        folded = _fold_binary("pow", base, c)
-        if folded is not None:
-            return folded
-    return Binary("pow", base, c)
 
 
 def differentiate(e: Expr, var: str) -> Expr:
@@ -572,36 +531,35 @@ def _diff(e: Expr, var: str) -> Expr:
         if e.op == "neg":
             return _neg(d)
         if e.op == "exp":
-            return _mul(d, Unary("exp", e.child))
+            return _binary("mul", d, Unary("exp", e.child))
         if e.op == "log":
-            return _div(d, e.child)
+            return _binary("div", d, e.child)
         if e.op == "sin":
-            return _mul(d, Unary("cos", e.child))
+            return _binary("mul", d, Unary("cos", e.child))
         if e.op == "cos":
-            return _neg(_mul(d, Unary("sin", e.child)))
+            return _neg(_binary("mul", d, Unary("sin", e.child)))
         if e.op == "atan":
-            return _div(d, _add(Constant(1.0), _pow(e.child, 2.0)))
+            return _binary("div", d, _binary("add", _ONE, _binary("pow", e.child, _TWO)))
         if e.op == "sqrt":
-            return _div(d, _mul(Constant(2.0), Unary("sqrt", e.child)))
+            return _binary("div", d, _binary("mul", _TWO, Unary("sqrt", e.child)))
     if isinstance(e, Binary):
         dl = _diff(e.left, var)
         dr = _diff(e.right, var)
-        if e.op == "add":
-            return _add(dl, dr)
-        if e.op == "sub":
-            return _sub(dl, dr)
+        if e.op in ("add", "sub"):
+            return _binary(e.op, dl, dr)
         if e.op == "mul":
-            return _add(_mul(dl, e.right), _mul(e.left, dr))
+            return _binary("add", _binary("mul", dl, e.right), _binary("mul", e.left, dr))
         if e.op == "div":
             if _is_zero(dl) and _is_zero(dr):
                 return Constant(0.0)
-            num = _sub(_mul(dl, e.right), _mul(e.left, dr))
-            return _div(num, _pow(e.right, 2.0))
+            num = _binary("sub", _binary("mul", dl, e.right), _binary("mul", e.left, dr))
+            return _binary("div", num, _binary("pow", e.right, _TWO))
         if e.op == "pow":
             c = e.right.value  # Constant by construction
             if _is_zero(dl) or c == 0.0:
                 return Constant(0.0)
-            return _mul(_mul(Constant(c), _pow(e.left, c - 1.0)), dl)
+            power = _binary("pow", e.left, Constant(c - 1.0))
+            return _binary("mul", _binary("mul", e.right, power), dl)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -609,7 +567,6 @@ def _diff(e: Expr, var: str) -> Expr:
 # Separation
 # ---------------------------------------------------------------------------
 
-_ONE = Constant(1.0)
 _MAX_TERMS = 64  # products of sums multiply their term counts; past this, refuse
 
 

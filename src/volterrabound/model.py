@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -196,7 +196,10 @@ class ValidationReport:
         return {"passed": self.passed, "checks": [c.as_dict() for c in self.checks]}
 
 
-def _json_float(x: float):
+def _json_float(x: Optional[float]):
+    """A float for JSON: non-finite values as their repr, None as null."""
+    if x is None:
+        return None
     return x if math.isfinite(x) else repr(x)
 
 

@@ -5,10 +5,9 @@ accepted nodes, which leaves one implicit scalar equation per step:
 
     u_n = f(t_n) + h * (a(t_n,t_0,u_0)/2 + sum_j a(t_n,t_j,u_j) + a(t_n,t_n,u_n)/2)
 
-solved by damped Newton with the symbolic kernel derivative a_u, and a
-geometrically grown bisection bracket as fallback.  A root counts only
-where the slope 1 - (h/2)*a_u(t_n,t_n,u_n) is positive.  When a step
-cannot be completed, the step is halved locally (up to 40 times);
+solved by damped Newton with the symbolic kernel derivative a_u.  A root
+counts only where the slope 1 - (h/2)*a_u(t_n,t_n,u_n) is positive.
+When Newton finds no such root, the step is halved locally (up to 40 times);
 exhaustion with evidence of |u| crossing the blow-up cap is reported as
 finite-time blow-up, exhaustion without growth as a step failure.
 
@@ -47,7 +46,7 @@ __all__ = [
 _MAX_HALVINGS = 40
 _MAX_SUBNODES = 400  # refinement nodes allowed between two grid nodes
 _NEWTON_ITERATIONS = 60
-_DERIVATIVE_FLOOR = 1e-12  # below this the Newton slope is unusable; bisect instead
+_DERIVATIVE_FLOOR = 1e-12  # below this the Newton slope is unusable; the attempt fails
 
 
 class NonConvergenceError(Exception):
@@ -60,7 +59,8 @@ class NonConvergenceError(Exception):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid t_k = k*h with n = round(t_end/h) + 1 nodes."""
+    """Uniform grid t_k = k*h with n = round(t_end/h) + 1 nodes, ending at
+    t_end: h must divide t_end to a relative 1e-9."""
 
     t_end: float
     h: float
@@ -70,6 +70,9 @@ class Grid:
             raise ValueError("h must be > 0")
         if not (self.t_end > 0.0):
             raise ValueError("t_end must be > 0")
+        steps = self.t_end / self.h
+        if not (0.0 < steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ValueError(f"step {self.h!r} does not divide t_end {self.t_end!r}")
 
     @property
     def n(self) -> int:
@@ -319,7 +322,13 @@ def _direct_lag(spec, hist, t_new) -> float:
 
 
 def _implicit_scalar(spec, t, rhs, weight, u_start, tol) -> _SolveResult:
-    """Solve u = rhs + weight * a(t, t, u) near u_start."""
+    """Solve u = rhs + weight * a(t, t, u) by damped Newton from u_start.
+
+    Newton stops without a root where the slope is flat or non-finite,
+    where 30 halvings of its step find no decrease of the residual, or
+    when its iterations run out.  The attempt then fails with the largest
+    |u| reached so far, and the caller halves the step.
+    """
 
     def residual(u: float) -> float:
         return u - rhs - weight * float(evaluate(spec.a, {"t": t, "s": t, "u": u}))
@@ -343,9 +352,8 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, tol) -> _SolveResult:
         except EvalDomainError:
             return _SolveResult(False, u, max_abs)
         if not math.isfinite(d) or abs(d) < _DERIVATIVE_FLOOR:
-            break  # flat slope; hand over to bisection
+            return _SolveResult(False, u, max_abs)
         step = fu / d
-        improved = False
         for _ in range(30):
             trial = u - step
             try:
@@ -355,17 +363,13 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, tol) -> _SolveResult:
             max_abs = max(max_abs, abs(trial))
             if math.isfinite(ft) and abs(ft) < abs(fu):
                 u, fu = trial, ft
-                improved = True
                 break
             step *= 0.5
-        if not improved:
-            break
-    else:
-        if abs(fu) <= tol * (1.0 + abs(u)):
-            return _on_branch(u, d, slope, max_abs)
-
-    res = _bisect(residual, u_start, tol, max_abs)
-    return _on_branch(res.value, None, slope, res.max_abs) if res.converged else res
+        else:
+            return _SolveResult(False, u, max_abs)
+    if abs(fu) <= tol * (1.0 + abs(u)):
+        return _on_branch(u, d, slope, max_abs)
+    return _SolveResult(False, u, max_abs)
 
 
 def _on_branch(u, d, slope, max_abs) -> _SolveResult:
@@ -374,8 +378,8 @@ def _on_branch(u, d, slope, max_abs) -> _SolveResult:
     the solution from the last node.  Elsewhere, such as the far root an
     odd power always has, the attempt fails with |u| as blow-up
     evidence.  ``d`` is the slope Newton computed at the iterate u was
-    reached from; it stands in for the slope at u, and is evaluated only
-    when there is none."""
+    reached from; it stands in for the slope at u.  It is None only when
+    the start already converged, and the slope is then evaluated at u."""
     if d is None:
         try:
             d = slope(u)
@@ -384,44 +388,6 @@ def _on_branch(u, d, slope, max_abs) -> _SolveResult:
     if d > 0.0:
         return _SolveResult(True, u, max_abs)
     return _SolveResult(False, u, max(max_abs, abs(u)))
-
-
-def _bisect(residual, u_start, tol, max_abs) -> _SolveResult:
-    """Bracket grown geometrically from u_start, then plain bisection."""
-    d = max(1.0, abs(u_start))
-    lo, hi = u_start - d, u_start + d
-    try:
-        flo, fhi = residual(lo), residual(hi)
-    except EvalDomainError:
-        return _SolveResult(False, u_start, max_abs)
-    grow = 0
-    while flo * fhi > 0.0 and grow < 60:
-        d *= 2.0
-        lo, hi = u_start - d, u_start + d
-        try:
-            flo, fhi = residual(lo), residual(hi)
-        except EvalDomainError:
-            return _SolveResult(False, u_start, max_abs)
-        grow += 1
-    if not (math.isfinite(flo) and math.isfinite(fhi)) or flo * fhi > 0.0:
-        return _SolveResult(False, u_start, max_abs)
-    if flo == 0.0:
-        return _SolveResult(True, lo, max(max_abs, abs(lo)))
-    mid = u_start
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        try:
-            fm = residual(mid)
-        except EvalDomainError:
-            return _SolveResult(False, mid, max_abs)
-        max_abs = max(max_abs, abs(mid))
-        if abs(fm) <= tol * (1.0 + abs(mid)):
-            return _SolveResult(True, mid, max_abs)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return _SolveResult(False, mid, max_abs)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,19 @@ def test_check_weight_overflow_is_a_refusal():
     assert "negative margin -inf at t=0" in cert.verdict.reason
 
 
+def test_refused_certificate_carries_no_bound():
+    # The tail exponent of this weight is positive; the refusal still
+    # names the candidate, but claims no bound.
+    data = make_exponential_data(1, 1, 1, 1, 0, 0, 1.0, initial=0)
+    cert = check_weight(data, ExponentialWeight(1.0, 0.1))
+    assert not cert.certified
+    payload = cert.to_dict()
+    assert payload["bound"] is None
+    assert (payload["family"], payload["coefficient"], payload["rate"]) == ("exponential", 1.0, 0.1)
+    with pytest.raises(ValueError, match="carries no bound"):
+        cert.bound_values([0.0, 1.0])
+
+
 def test_strictness_propagation():
     data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=2.0)
     # w(0) * g(0) = 0.5 * 2 = 1 exactly: certified, but not strict

@@ -47,6 +47,18 @@ def test_solve_blowup_exit_code_and_message(tmp_path, capsys):
     assert "# status=blowup" in (out / "trajectory.csv").read_text()
 
 
+def test_solve_step_must_divide_t_end(tmp_path, capsys):
+    # A step of 0.6 would run the grid to t = 1.2 and report u there.
+    problem = write_problem(tmp_path / "p.json", ATAN_PROBLEM)
+    out = tmp_path / "out"
+    code = run(["solve", "--problem", problem, "--t-end", "1", "--step", "0.6", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_solve_missing_file(tmp_path, capsys):
     code = run(["solve", "--problem", str(tmp_path / "missing.json")])
     assert code == 1

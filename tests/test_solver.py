@@ -17,6 +17,8 @@ from volterrabound import (
     solve,
     write_trajectory_csv,
 )
+from volterrabound import solver
+from volterrabound.expr import evaluate
 
 
 
@@ -38,6 +40,15 @@ def test_grid_nodes():
         Grid(t_end=1.0, h=0.0)
     with pytest.raises(ValueError):
         Grid(t_end=0.0, h=0.1)
+
+
+def test_grid_step_must_divide_horizon():
+    # round(1/0.6) + 1 = 3 nodes would end at t = 1.2, and 0.4 at t = 0.8.
+    for t_end, h in ((1.0, 0.6), (1.0, 0.4), (1.0, 3.0), (1.0, math.inf), (math.inf, 0.1)):
+        with pytest.raises(ValueError, match="does not divide t_end"):
+            Grid(t_end=t_end, h=h)
+    assert Grid(t_end=12.0, h=1e-3).n == 12001
+    assert Grid(t_end=1.0, h=0.1).times()[-1] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_grid_always_starts_at_zero():
@@ -169,6 +180,23 @@ def test_odd_power_blow_up_not_continued_on_a_spurious_root():
     assert isinstance(traj.status, BlowUp)
     assert abs(traj.status.t_star - 0.5) <= 3 * h
     assert np.all(traj.values > 0.0)
+
+
+def test_flat_step_without_root_fails_at_once(quadratic_spec, monkeypatch):
+    # u = 1 + 0.5*u^2 has no real root, and at u = 1 its slope 1 - u is
+    # zero: the attempt fails after one residual and one slope, leaving
+    # the step to the caller's halving, with no |u| growth reported.
+    calls = []
+
+    def counting(e, bindings):
+        calls.append(e)
+        return evaluate(e, bindings)
+
+    monkeypatch.setattr(solver, "evaluate", counting)
+    res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 1.0, 1e-12)
+    assert not res.converged
+    assert len(calls) <= 2
+    assert res.max_abs == 1.0
 
 
 # ---------------------------------------------------------------------------
