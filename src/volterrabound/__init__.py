@@ -16,24 +16,17 @@ from .certificate import (
     Certificate,
     Certified,
     ExponentComparison,
-    ExponentialDecayData,
     ExponentialWeight,
     InequalityData,
-    PowerDecayData,
     PowerWeight,
     Refused,
     check_weight,
     derive_inequality,
-    make_exponential_data,
-    make_power_data,
     search_exponential,
     search_power,
     verify_solution_bound,
 )
-from .comparison import (
-    MajorantCurve,
-    propagate_majorant,
-)
+from .comparison import propagate_majorant
 from .expr import (
     Binary,
     Constant,
@@ -52,9 +45,9 @@ from .expr import (
     variables,
 )
 from .model import (
-    ForcingEnvelope,
+    ExponentialDecayData,
     HypothesisCheck,
-    KernelEnvelope,
+    PowerDecayData,
     ProblemFileError,
     ProblemSpec,
     ValidationReport,
@@ -95,8 +88,8 @@ __all__ = [
     "EvalDomainError",
     "NonDifferentiableError",
     # model
-    "ForcingEnvelope",
-    "KernelEnvelope",
+    "ExponentialDecayData",
+    "PowerDecayData",
     "ProblemSpec",
     "HypothesisCheck",
     "ValidationReport",
@@ -118,8 +111,6 @@ __all__ = [
     "write_trajectory_csv",
     # certificate
     "InequalityData",
-    "ExponentialDecayData",
-    "PowerDecayData",
     "ExponentialWeight",
     "PowerWeight",
     "Certificate",
@@ -128,13 +119,10 @@ __all__ = [
     "ExponentComparison",
     "BoundReport",
     "derive_inequality",
-    "make_exponential_data",
-    "make_power_data",
     "check_weight",
     "search_exponential",
     "search_power",
     "verify_solution_bound",
     # comparison
-    "MajorantCurve",
     "propagate_majorant",
 ]

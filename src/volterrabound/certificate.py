@@ -3,7 +3,8 @@
     g'(t) <= k(t) * g(t)**(2p) + drive(t),    g(0) = initial,
 
 where k and drive are closed-form sums of non-negative decay terms, held
-as their constants only (:class:`ExponentialDecayData` or
+as their constants only, in the decay records of :mod:`.model`
+(:class:`ExponentialDecayData`, the problem's own envelope, or
 :class:`PowerDecayData`).  Each record checks on construction that its
 amplitudes are >= 0 and p > 0, so the gain k(t) * g**(2p) is
 non-negative and non-decreasing in g >= 0 by construction.  A
@@ -37,20 +38,25 @@ is decided from scalars, with no sampled grid.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .expr import evaluate
-from .model import ProblemSpec, _json_float, _require_finite
+from .model import (
+    DecayData,
+    ExponentialDecayData,
+    PowerDecayData,
+    ProblemSpec,
+    _json_float,
+    _require_finite,
+)
 from .solver import Completed, Trajectory
 
 __all__ = [
     "ExponentialWeight",
     "PowerWeight",
-    "ExponentialDecayData",
-    "PowerDecayData",
     "InequalityData",
     "Certified",
     "Refused",
@@ -58,8 +64,6 @@ __all__ = [
     "Certificate",
     "BoundReport",
     "derive_inequality",
-    "make_exponential_data",
-    "make_power_data",
     "check_weight",
     "search_exponential",
     "search_power",
@@ -123,84 +127,6 @@ WeightFamily = Union[ExponentialWeight, PowerWeight]
 # ---------------------------------------------------------------------------
 
 
-def _decay_sums(pairs, decay, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """drive(t) and k(t) on an array of times: drive sums all three terms
-    (amplitude, rate) of ``pairs``, in order, and k the last two.  Zero
-    amplitudes are left out, so a term that overflows never meets a zero
-    factor."""
-    drive = k = np.zeros_like(t)
-    with np.errstate(over="ignore"):
-        for i, (amplitude, rate) in enumerate(pairs):
-            if amplitude != 0.0:
-                term = amplitude * decay(rate)
-                drive = drive + term
-                if i > 0:
-                    k = k + term
-    return drive, k
-
-
-def _check_constants(record, amplitudes: tuple[str, ...]) -> None:
-    """Finite constants, non-negative amplitudes and p > 0: then the gain
-    k(t) * g**(2p) is non-negative and non-decreasing in g >= 0."""
-    _require_finite(**asdict(record))
-    for name in amplitudes:
-        if not (getattr(record, name) >= 0.0):
-            raise ValueError(f"{name} must be >= 0")
-    if not (record.p > 0.0):
-        raise ValueError("p must be > 0")
-
-
-@dataclass(frozen=True)
-class ExponentialDecayData:
-    """Exponential decay constants of the growth inequality:
-    drive(t) = c0*e^(-b0 t) + c1*e^(-b1 t) + c2*e^(-b t) and
-    k(t) = c1*e^(-b1 t) + c2*e^(-b t)."""
-
-    c0: float
-    b0: float
-    c1: float
-    b1: float
-    c2: float
-    b: float
-    p: float
-
-    def __post_init__(self):
-        _check_constants(self, ("c0", "c1", "c2"))
-
-    def pairs(self) -> tuple[tuple[float, float], ...]:
-        return ((self.c0, self.b0), (self.c1, self.b1), (self.c2, self.b))
-
-    def tabulate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """drive(t) and k(t) on an array of times."""
-        return _decay_sums(self.pairs(), lambda rate: np.exp(-rate * t), t)
-
-
-@dataclass(frozen=True)
-class PowerDecayData:
-    """Power-law analogue with terms d_i * (1+t)**(-e_i)."""
-
-    d0: float
-    e0: float
-    d1: float
-    e1: float
-    d2: float
-    e2: float
-    p: float
-
-    def __post_init__(self):
-        _check_constants(self, ("d0", "d1", "d2"))
-
-    def pairs(self) -> tuple[tuple[float, float], ...]:
-        return ((self.d0, self.e0), (self.d1, self.e1), (self.d2, self.e2))
-
-    def tabulate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """drive(t) and k(t) on an array of times."""
-        return _decay_sums(self.pairs(), lambda order: np.power(1.0 + t, -order), t)
-
-
-DecayData = Union[ExponentialDecayData, PowerDecayData]
-
-
 @dataclass(frozen=True)
 class InequalityData:
     """The growth inequality g' <= k(t) * g**(2p) + drive(t), g(0) = initial,
@@ -216,43 +142,10 @@ class InequalityData:
 
 
 def derive_inequality(spec: ProblemSpec) -> InequalityData:
-    """Translate a problem's decay envelopes into inequality data.
-
-    The envelope constants become the decay record, and the initial value
-    is the exact |f(0)| (not the looser constant c0).
-    """
-    fe, ke = spec.forcing_env, spec.kernel_env
-    decay = ExponentialDecayData(fe.c0, fe.b0, ke.c1, ke.b1, ke.c2, ke.b, ke.p)
-    return InequalityData(abs(float(evaluate(spec.f, {"t": 0.0}))), decay)
-
-
-def make_exponential_data(
-    c0: float,
-    b0: float,
-    c1: float,
-    b1: float,
-    c2: float,
-    b: float,
-    p: float,
-    initial: float,
-) -> InequalityData:
-    """Inequality data with exponential decay structure, built directly
-    from constants (for certificates detached from any problem file)."""
-    return InequalityData(initial, ExponentialDecayData(c0, b0, c1, b1, c2, b, p))
-
-
-def make_power_data(
-    d0: float,
-    e0: float,
-    d1: float,
-    e1: float,
-    d2: float,
-    e2: float,
-    p: float,
-    initial: float,
-) -> InequalityData:
-    """Inequality data with power-law decay structure (1+t)**(-e_i)."""
-    return InequalityData(initial, PowerDecayData(d0, e0, d1, e1, d2, e2, p))
+    """The growth inequality of a problem: its envelope record is the
+    decay record, and the initial value is the exact |f(0)| (not the
+    looser constant c0)."""
+    return InequalityData(abs(float(evaluate(spec.f, {"t": 0.0}))), spec.envelope)
 
 
 # ---------------------------------------------------------------------------

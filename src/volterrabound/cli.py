@@ -234,6 +234,16 @@ def cmd_demo_blowup(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+# The numeric options, each declared once for every subcommand that takes
+# it; main() rejects a value that is not a positive finite number.
+_NUMERIC_FLAGS = {
+    "--t-end": {"default": 10.0, "help": "horizon (default 10)"},
+    "--step": {"default": 1e-3, "help": "grid step, must divide --t-end (default 1e-3)"},
+    "--t-max": {"default": 50.0, "help": "hypothesis sampling horizon (default 50)"},
+    "--u-max": {"default": 10.0, "help": "state sample range (default 10)"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volterra",
@@ -245,37 +255,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, problem: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, *flags: str, problem: bool = True) -> None:
         if problem:
             p.add_argument("--problem", required=True, help="problem file (JSON)")
         p.add_argument("--out", default=".", help="output directory (default: .)")
+        for flag in flags:
+            p.add_argument(flag, type=float, **_NUMERIC_FLAGS[flag])
 
     p_solve = sub.add_parser("solve", help="integrate the equation and export the trajectory")
-    add_common(p_solve)
-    p_solve.add_argument("--t-end", type=float, default=10.0, help="horizon (default 10)")
-    p_solve.add_argument(
-        "--step", type=float, default=1e-3, help="grid step, must divide --t-end (default 1e-3)"
-    )
+    add_common(p_solve, "--t-end", "--step")
     p_solve.set_defaults(func=cmd_solve)
 
     p_cert = sub.add_parser("certify", help="validate hypotheses and search for a growth bound")
-    add_common(p_cert)
-    p_cert.add_argument(
-        "--t-max", type=float, default=50.0, help="hypothesis sampling horizon (default 50)"
-    )
-    p_cert.add_argument("--u-max", type=float, default=10.0, help="state sample range (default 10)")
+    add_common(p_cert, "--t-max", "--u-max")
     p_cert.set_defaults(func=cmd_certify)
 
     p_verify = sub.add_parser("verify", help="solve, certify, and check the bound node by node")
-    add_common(p_verify)
-    p_verify.add_argument("--t-end", type=float, default=10.0)
-    p_verify.add_argument(
-        "--step", type=float, default=1e-3, help="grid step, must divide --t-end (default 1e-3)"
-    )
-    p_verify.add_argument(
-        "--t-max", type=float, default=50.0, help="hypothesis sampling horizon (default 50)"
-    )
-    p_verify.add_argument("--u-max", type=float, default=10.0)
+    add_common(p_verify, "--t-end", "--step", "--t-max", "--u-max")
     p_verify.set_defaults(func=cmd_verify)
 
     p_demo = sub.add_parser("demo-blowup", help="run the quadratic-kernel blow-up walkthrough")
@@ -289,10 +285,10 @@ def main(argv=None) -> int:
     _configure_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for name in ("t_end", "step", "t_max", "u_max"):
-        value = getattr(args, name, None)
+    for flag in _NUMERIC_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and not (value > 0.0 and math.isfinite(value)):
-            print(f"--{name.replace('_', '-')} must be a positive number", file=sys.stderr)
+            print(f"{flag} must be a positive number", file=sys.stderr)
             return _EXIT_ERROR
     try:
         return args.func(args)

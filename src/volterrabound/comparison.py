@@ -16,39 +16,26 @@ property, which carries its own tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .certificate import InequalityData
-from .solver import BlowUp, Completed, Grid
+from .solver import _BLOWUP_CAP, BlowUp, Completed, Grid, Trajectory
 
 __all__ = [
-    "MajorantCurve",
     "propagate_majorant",
 ]
 
 
-@dataclass(frozen=True)
-class MajorantCurve:
-    grid: Grid
-    values: np.ndarray
-    status: Union[Completed, BlowUp]
-
-    def times(self) -> np.ndarray:
-        return self.grid.times()[: len(self.values)]
-
-
-def propagate_majorant(
-    data: InequalityData, grid: Grid, blowup_cap: float = 1e8
-) -> MajorantCurve:
+def propagate_majorant(data: InequalityData, grid: Grid) -> Trajectory:
     """Integrate the equality version of the inequality with RK4.
 
     drive(t) and k(t) are tabulated once per grid at the three stage
     times t, t + h/2 and t + h of every step; each stage then costs one
     power of the state.  Reports blow-up (midpoint of the crossing step)
-    once the curve leaves [-cap, cap] or the reals, or a stage overflows.
+    once the curve leaves [-1e8, 1e8], the solver's blow-up cap, or the
+    reals, or a stage overflows.
     """
     starts = grid.times()[:-1]
     h = grid.h
@@ -68,11 +55,11 @@ def propagate_majorant(
             g_new = g + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
         except OverflowError:
             g_new = math.inf
-        if not math.isfinite(g_new) or abs(g_new) > blowup_cap:
+        if not math.isfinite(g_new) or abs(g_new) > _BLOWUP_CAP:
             status = BlowUp(t_star=float(starts[n]) + 0.5 * h)
             break
         g = g_new
         values.append(g)
     curve = np.array(values, dtype=float)
     curve.flags.writeable = False
-    return MajorantCurve(grid=grid, values=curve, status=status)
+    return Trajectory(grid=grid, values=curve, status=status)

@@ -1,4 +1,5 @@
-"""Problem definitions and numerical validation of their decay hypotheses.
+"""Problem definitions, their decay records, and numerical validation of
+the decay hypotheses.
 
 A problem is a forcing term f(t), a kernel a(t, s, u), and envelope
 constants asserting exponential decay:
@@ -8,16 +9,20 @@ constants asserting exponential decay:
     int_0^t |a_t(t, s, u)| ds <= c2 * exp(-b*t)  * (1 + |u(t)|**(2p))
     a_u(t, s, u)              >= 0
 
-The certificate machinery downstream consumes only the envelope
-constants; :func:`validate_decay` checks, by deterministic sampling,
-that the constants actually bound the declared expressions.
+The seven constants are held in one :class:`ExponentialDecayData`
+record, from the problem file to the growth inequality and its
+majorant; :class:`PowerDecayData` is its power-law analogue, used by
+certificates detached from any problem file.  The certificate
+machinery downstream consumes only these constants;
+:func:`validate_decay` checks, by deterministic sampling, that the
+constants actually bound the declared expressions.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -34,8 +39,8 @@ from .expr import (
 )
 
 __all__ = [
-    "ForcingEnvelope",
-    "KernelEnvelope",
+    "ExponentialDecayData",
+    "PowerDecayData",
     "ProblemSpec",
     "HypothesisCheck",
     "ValidationReport",
@@ -48,8 +53,8 @@ __all__ = [
 ]
 
 _SIMPSON_PANELS = 200  # composite Simpson resolution for the kernel-variation integral
-_DEFAULT_T_SAMPLES = 201
-_DEFAULT_U_SAMPLES = 41
+_T_SAMPLES = 201
+_U_SAMPLES = 41
 _MONOTONE_S_SAMPLES = 51
 
 
@@ -67,29 +72,45 @@ def _require_finite(**constants: float) -> None:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def _decay_sums(pairs, decay, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """drive(t) and k(t) on an array of times: drive sums all three terms
+    (amplitude, rate) of ``pairs``, in order, and k the last two.  Zero
+    amplitudes are left out, so a term that overflows never meets a zero
+    factor."""
+    drive = k = np.zeros_like(t)
+    with np.errstate(over="ignore"):
+        for i, (amplitude, rate) in enumerate(pairs):
+            if amplitude != 0.0:
+                term = amplitude * decay(rate)
+                drive = drive + term
+                if i > 0:
+                    k = k + term
+    return drive, k
+
+
+def _check_constants(record, amplitudes: tuple[str, ...]) -> None:
+    """Finite constants, non-negative amplitudes and p > 0: then the gain
+    k(t) * g**(2p) is non-negative and non-decreasing in g >= 0."""
+    _require_finite(**asdict(record))
+    for name in amplitudes:
+        if not (getattr(record, name) >= 0.0):
+            raise ValueError(f"{name} must be >= 0")
+    if not (record.p > 0.0):
+        raise ValueError("p must be > 0")
+
+
 @dataclass(frozen=True)
-class ForcingEnvelope:
-    """Exponential envelope c0 * exp(-b0*t) on |f| + |f'|."""
+class ExponentialDecayData:
+    """Exponential decay constants of a problem's envelopes and of its
+    growth inequality: drive(t) = c0*e^(-b0 t) + c1*e^(-b1 t) + c2*e^(-b t)
+    and k(t) = c1*e^(-b1 t) + c2*e^(-b t).
+
+    Rates may be negative here (power data in log time needs them); a
+    problem envelope must also have b0, b1, b >= 0, which
+    :func:`build_problem` checks."""
 
     c0: float
     b0: float
-
-    def __post_init__(self):
-        _require_finite(c0=self.c0, b0=self.b0)
-        if not (self.c0 >= 0.0):
-            raise ValueError("c0 must be >= 0")
-        if not (self.b0 >= 0.0):
-            raise ValueError("b0 must be >= 0")
-
-
-@dataclass(frozen=True)
-class KernelEnvelope:
-    """Envelopes on the kernel diagonal and its t-derivative integral.
-
-    The pair (c1, b1) bounds |a(t,t,u)|, the pair (c2, b) bounds the
-    integral of |a_t|; both relative to the growth factor 1 + |u|**(2p).
-    """
-
     c1: float
     b1: float
     c2: float
@@ -97,13 +118,40 @@ class KernelEnvelope:
     p: float
 
     def __post_init__(self):
-        _require_finite(c1=self.c1, b1=self.b1, c2=self.c2, b=self.b, p=self.p)
-        if not (self.c1 >= 0.0 and self.c2 >= 0.0):
-            raise ValueError("c1 and c2 must be >= 0")
-        if not (self.b1 >= 0.0 and self.b >= 0.0):
-            raise ValueError("b1 and b must be >= 0")
-        if not (self.p > 0.0):
-            raise ValueError("p must be > 0")
+        _check_constants(self, ("c0", "c1", "c2"))
+
+    def pairs(self) -> tuple[tuple[float, float], ...]:
+        return ((self.c0, self.b0), (self.c1, self.b1), (self.c2, self.b))
+
+    def tabulate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """drive(t) and k(t) on an array of times."""
+        return _decay_sums(self.pairs(), lambda rate: np.exp(-rate * t), t)
+
+
+@dataclass(frozen=True)
+class PowerDecayData:
+    """Power-law analogue with terms d_i * (1+t)**(-e_i)."""
+
+    d0: float
+    e0: float
+    d1: float
+    e1: float
+    d2: float
+    e2: float
+    p: float
+
+    def __post_init__(self):
+        _check_constants(self, ("d0", "d1", "d2"))
+
+    def pairs(self) -> tuple[tuple[float, float], ...]:
+        return ((self.d0, self.e0), (self.d1, self.e1), (self.d2, self.e2))
+
+    def tabulate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """drive(t) and k(t) on an array of times."""
+        return _decay_sums(self.pairs(), lambda order: np.power(1.0 + t, -order), t)
+
+
+DecayData = Union[ExponentialDecayData, PowerDecayData]
 
 
 @dataclass(frozen=True)
@@ -118,22 +166,20 @@ class ProblemSpec:
     a: Expr
     a_t: Expr
     a_u: Expr
-    forcing_env: ForcingEnvelope
-    kernel_env: KernelEnvelope
+    envelope: ExponentialDecayData
 
 
-def build_problem(
-    f_text: str,
-    a_text: str,
-    forcing_env: ForcingEnvelope,
-    kernel_env: KernelEnvelope,
-) -> ProblemSpec:
+def build_problem(f_text: str, a_text: str, envelope: ExponentialDecayData) -> ProblemSpec:
     """Parse the forcing and kernel, derive f', a_t and a_u symbolically.
 
-    The forcing may mention only t; the kernel only t, s and u.  Parse
+    The forcing may mention only t; the kernel only t, s and u.  The
+    envelope's decay rates b0, b1 and b must be >= 0 (ValueError).  Parse
     errors bubble up as :class:`ExprSyntaxError`, scope violations raise
     :class:`VariableScopeError`.
     """
+    for name in ("b0", "b1", "b"):
+        if not (getattr(envelope, name) >= 0.0):
+            raise ValueError(f"{name} must be >= 0")
     f = parse(f_text)
     a = parse(a_text)
     extra_f = variables(f) - {"t"}
@@ -147,8 +193,7 @@ def build_problem(
         a=a,
         a_t=differentiate(a, "t"),
         a_u=differentiate(a, "u"),
-        forcing_env=forcing_env,
-        kernel_env=kernel_env,
+        envelope=envelope,
     )
 
 
@@ -159,15 +204,16 @@ def build_problem(
 
 @dataclass(frozen=True)
 class HypothesisCheck:
-    """Worst-case slack of one decay hypothesis over the sample grid.
-
-    ``passed`` is True exactly when the worst margin is >= 0.
-    """
+    """Worst-case slack of one decay hypothesis over the sample grid."""
 
     name: str
     margin: float
     point: dict
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """True exactly when the worst margin is >= 0."""
+        return self.margin >= 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -204,51 +250,43 @@ def _json_float(x: Optional[float]):
 
 
 def _failed_check(name: str, exc: EvalDomainError) -> HypothesisCheck:
-    return HypothesisCheck(name=name, margin=float("-inf"), point={"error": str(exc)}, passed=False)
+    return HypothesisCheck(name=name, margin=float("-inf"), point={"error": str(exc)})
 
 
-def validate_decay(
-    spec: ProblemSpec,
-    t_max: float,
-    u_max: float,
-    n_samples: int = _DEFAULT_T_SAMPLES,
-    u_samples: int = _DEFAULT_U_SAMPLES,
-) -> ValidationReport:
+def validate_decay(spec: ProblemSpec, t_max: float, u_max: float) -> ValidationReport:
     """Sample the decay hypotheses on a deterministic grid.
 
-    t runs over a uniform grid on [0, t_max]; u over [-u_max, u_max]
-    where a state enters.  The kernel-variation integral is taken along
-    the worst constant state profiles u(s) = +u_max and u(s) = -u_max
-    (the true profile is unknown at validation time) using composite
-    Simpson on 200 panels.  Identical inputs produce bit-identical
-    reports.
+    t runs over 201 uniform samples on [0, t_max]; u over 41 on
+    [-u_max, u_max] where a state enters.  The kernel-variation integral
+    is taken along the worst constant state profiles u(s) = +u_max and
+    u(s) = -u_max (the true profile is unknown at validation time) using
+    composite Simpson on 200 panels.  Identical inputs produce
+    bit-identical reports.
     """
     if not (t_max > 0.0 and u_max > 0.0):
         raise ValueError("t_max and u_max must be > 0")
-    if n_samples < 2 or u_samples < 2:
-        raise ValueError("need at least 2 samples per axis")
 
-    env_f, env_k = spec.forcing_env, spec.kernel_env
-    ts = np.linspace(0.0, t_max, n_samples)
-    us = np.linspace(-u_max, u_max, u_samples)
-    two_p = 2.0 * env_k.p
+    env = spec.envelope
+    ts = np.linspace(0.0, t_max, _T_SAMPLES)
+    us = np.linspace(-u_max, u_max, _U_SAMPLES)
+    two_p = 2.0 * env.p
     try:
         growth = 1.0 + u_max**two_p
     except OverflowError:
         raise OverflowError(
-            f"p = {env_k.p!r} is too large: u_max**(2p) overflows for u_max = {u_max!r}"
+            f"p = {env.p!r} is too large: u_max**(2p) overflows for u_max = {u_max!r}"
         ) from None
 
     checks = [
-        _check_forcing_decay(spec, env_f, ts),
-        _check_kernel_diagonal(spec, env_k, ts, us, two_p),
-        _check_kernel_variation(spec, env_k, ts, u_max, growth),
+        _check_forcing_decay(spec, env, ts),
+        _check_kernel_diagonal(spec, env, ts, us, two_p),
+        _check_kernel_variation(spec, env, ts, u_max, growth),
         _check_kernel_monotone(spec, ts, us),
     ]
     return ValidationReport(checks=tuple(checks))
 
 
-def _check_forcing_decay(spec, env_f, ts) -> HypothesisCheck:
+def _check_forcing_decay(spec, env, ts) -> HypothesisCheck:
     name = "forcing-decay"
     try:
         fv = np.abs(np.asarray(evaluate(spec.f, {"t": ts}))) + np.abs(
@@ -256,14 +294,14 @@ def _check_forcing_decay(spec, env_f, ts) -> HypothesisCheck:
         )
     except EvalDomainError as exc:
         return _failed_check(name, exc)
-    bound = env_f.c0 * np.exp(-env_f.b0 * ts)
+    bound = env.c0 * np.exp(-env.b0 * ts)
     margins = np.broadcast_to(bound - fv, ts.shape)
     k = int(np.argmin(margins))
     m = float(margins[k])
-    return HypothesisCheck(name, m, {"t": float(ts[k])}, m >= 0.0)
+    return HypothesisCheck(name, m, {"t": float(ts[k])})
 
 
-def _check_kernel_diagonal(spec, env_k, ts, us, two_p) -> HypothesisCheck:
+def _check_kernel_diagonal(spec, env, ts, us, two_p) -> HypothesisCheck:
     name = "kernel-diagonal"
     tt = ts[:, None]
     uu = us[None, :]
@@ -272,14 +310,14 @@ def _check_kernel_diagonal(spec, env_k, ts, us, two_p) -> HypothesisCheck:
     except EvalDomainError as exc:
         return _failed_check(name, exc)
     with np.errstate(over="ignore"):  # an infinite envelope bounds anything
-        bound = env_k.c1 * np.exp(-env_k.b1 * tt) * (1.0 + np.abs(uu) ** two_p)
+        bound = env.c1 * np.exp(-env.b1 * tt) * (1.0 + np.abs(uu) ** two_p)
     margins = np.broadcast_to(bound - av, (len(ts), len(us)))
     i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
     m = float(margins[i, j])
-    return HypothesisCheck(name, m, {"t": float(ts[i]), "u": float(us[j])}, m >= 0.0)
+    return HypothesisCheck(name, m, {"t": float(ts[i]), "u": float(us[j])})
 
 
-def _check_kernel_variation(spec, env_k, ts, u_max, growth) -> HypothesisCheck:
+def _check_kernel_variation(spec, env, ts, u_max, growth) -> HypothesisCheck:
     name = "kernel-variation"
     w = np.ones(_SIMPSON_PANELS + 1)
     w[1:-1:2] = 4.0
@@ -294,13 +332,13 @@ def _check_kernel_variation(spec, env_k, ts, u_max, growth) -> HypothesisCheck:
                     np.asarray(evaluate(spec.a_t, {"t": float(t), "s": s_nodes, "u": profile}))
                 )
                 integral = scale * float(np.sum(w * vals))
-                margin = env_k.c2 * math.exp(-env_k.b * float(t)) * growth - integral
+                margin = env.c2 * math.exp(-env.b * float(t)) * growth - integral
                 if margin < worst[0]:
                     worst = (margin, float(t), profile)
     except EvalDomainError as exc:
         return _failed_check(name, exc)
     m = float(worst[0])
-    return HypothesisCheck(name, m, {"t": worst[1], "profile": worst[2]}, m >= 0.0)
+    return HypothesisCheck(name, m, {"t": worst[1], "profile": worst[2]})
 
 
 def _check_kernel_monotone(spec, ts, us) -> HypothesisCheck:
@@ -322,7 +360,7 @@ def _check_kernel_monotone(spec, ts, us) -> HypothesisCheck:
         return _failed_check(name, exc)
     # The verdict is exactly the sign of the minimum sampled a_u.
     m = float(worst[0])
-    return HypothesisCheck(name, m, {"t": worst[1], "s": worst[2], "u": worst[3]}, m >= 0.0)
+    return HypothesisCheck(name, m, {"t": worst[1], "s": worst[2], "u": worst[3]})
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +374,23 @@ def problem_from_dict(data: dict) -> ProblemSpec:
     """Build a problem from the documented JSON schema.
 
     Required keys: f, a (expression strings) and the envelope constants
-    c0, b0, c1, b1, c2, b, p.  Unknown keys are ignored, which keeps
-    fixtures free to carry comments.
+    c0, b0, c1, b1, c2, b, p (JSON numbers; a boolean is not one).
+    Unknown keys are ignored, which keeps fixtures free to carry
+    comments.
     """
     missing = [k for k in _REQUIRED_FIELDS if k not in data]
     if missing:
         raise ProblemFileError(f"missing fields: {', '.join(missing)}")
-    try:
-        numbers = {k: float(data[k]) for k in _REQUIRED_FIELDS[2:]}
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"envelope constants must be numbers: {exc}") from None
+    numbers = {}
+    for name in _REQUIRED_FIELDS[2:]:
+        value = data[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ProblemFileError(f"{name} must be a number, got {value!r}")
+        numbers[name] = float(value)
     if not isinstance(data["f"], str) or not isinstance(data["a"], str):
         raise ProblemFileError("fields 'f' and 'a' must be expression strings")
     try:
-        forcing = ForcingEnvelope(c0=numbers["c0"], b0=numbers["b0"])
-        kernel = KernelEnvelope(
-            c1=numbers["c1"], b1=numbers["b1"], c2=numbers["c2"], b=numbers["b"], p=numbers["p"]
-        )
-        return build_problem(data["f"], data["a"], forcing, kernel)
+        return build_problem(data["f"], data["a"], ExponentialDecayData(**numbers))
     except (ValueError, ExprError) as exc:
         raise ProblemFileError(str(exc)) from exc
 

@@ -43,6 +43,8 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
+_NEWTON_TOL = 1e-12  # residual bound per accepted node, relative to 1 + |u_n|
+_BLOWUP_CAP = 1e8  # |u| beyond this is blow-up evidence
 _MAX_HALVINGS = 40
 _MAX_SUBNODES = 400  # refinement nodes allowed between two grid nodes
 _NEWTON_ITERATIONS = 60
@@ -208,24 +210,15 @@ class _History:
         return lag
 
 
-def solve(
-    spec: ProblemSpec,
-    grid: Grid,
-    newton_tol: float = 1e-12,
-    blowup_cap: float = 1e8,
-) -> Trajectory:
+def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     """March the discretized equation across the grid.
 
     Each accepted node satisfies its implicit equation to residual
-    <= newton_tol * (1 + |u_n|).  The returned trajectory is a pure
-    function of the inputs (bit-identical on repeated runs).  Values
-    stop at the last grid node accepted before blow-up or failure.
+    <= 1e-12 * (1 + |u_n|) and |u_n| <= 1e8, the blow-up cap.  The
+    returned trajectory is a pure function of the inputs (bit-identical
+    on repeated runs).  Values stop at the last grid node accepted
+    before blow-up or failure.
     """
-    if not (newton_tol > 0.0):
-        raise ValueError("newton_tol must be > 0")
-    if not (blowup_cap > 0.0):
-        raise ValueError("blowup_cap must be > 0")
-
     tgrid = grid.times()
     u0 = float(evaluate(spec.f, {"t": 0.0}))
     hist = _History(0.0, u0, spec.a)
@@ -233,7 +226,7 @@ def solve(
     status: Status = Completed()
 
     for n in range(1, grid.n):
-        terminal = _advance_to(spec, hist, float(tgrid[n]), newton_tol, blowup_cap)
+        terminal = _advance_to(spec, hist, float(tgrid[n]))
         if terminal is not None:
             status = terminal
             break
@@ -244,7 +237,7 @@ def solve(
     return Trajectory(grid=grid, values=traj_values, status=status)
 
 
-def _advance_to(spec, hist, target, tol, cap):
+def _advance_to(spec, hist, target):
     """Extend the history to ``target``, refining locally if needed.
 
     Returns None on success or a terminal status.  Accepted refinement
@@ -262,11 +255,11 @@ def _advance_to(spec, hist, target, tol, cap):
             # Land on the grid node exactly; rounding of t_cur + h_loc
             # must not perturb where f and the kernel are sampled.
             t_cand = target if h_loc == h_full else t_cur + h_loc
-            res = _attempt_step(spec, hist, t_cand, tol)
-            if res.converged and abs(res.value) <= cap:
+            res = _attempt_step(spec, hist, t_cand)
+            if res.converged and abs(res.value) <= _BLOWUP_CAP:
                 hist.push(t_cand, res.value)
                 break
-            if res.max_abs > cap or (res.converged and abs(res.value) > cap):
+            if res.max_abs > _BLOWUP_CAP or (res.converged and abs(res.value) > _BLOWUP_CAP):
                 blowup_evidence = True
             halvings += 1
             h_loc *= 0.5
@@ -285,7 +278,7 @@ def _advance_to(spec, hist, target, tol, cap):
     return None
 
 
-def _attempt_step(spec, hist, t_new, tol) -> _SolveResult:
+def _attempt_step(spec, hist, t_new) -> _SolveResult:
     """One implicit solve at t_new over the current history.
 
     Any domain excursion during the attempt counts as a failed attempt
@@ -300,7 +293,7 @@ def _attempt_step(spec, hist, t_new, tol) -> _SolveResult:
         rhs = fval + lag
     except EvalDomainError:
         return _SolveResult(False, 0.0, 0.0)
-    return _implicit_scalar(spec, t_new, rhs, half_step, hist.last_u, tol)
+    return _implicit_scalar(spec, t_new, rhs, half_step, hist.last_u)
 
 
 def _direct_lag(spec, hist, t_new) -> float:
@@ -321,7 +314,7 @@ def _direct_lag(spec, hist, t_new) -> float:
     return float(np.dot(w, np.broadcast_to(evaluate(spec.a, {"t": t_new, "s": ht, "u": hu}), (m,))))
 
 
-def _implicit_scalar(spec, t, rhs, weight, u_start, tol) -> _SolveResult:
+def _implicit_scalar(spec, t, rhs, weight, u_start) -> _SolveResult:
     """Solve u = rhs + weight * a(t, t, u) by damped Newton from u_start.
 
     Newton stops without a root where the slope is flat or non-finite,
@@ -345,7 +338,7 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, tol) -> _SolveResult:
 
     d = None  # slope at the Newton iterate the current u was reached from
     for _ in range(_NEWTON_ITERATIONS):
-        if abs(fu) <= tol * (1.0 + abs(u)):
+        if abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
             return _on_branch(u, d, slope, max_abs)
         try:
             d = slope(u)
@@ -367,7 +360,7 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, tol) -> _SolveResult:
             step *= 0.5
         else:
             return _SolveResult(False, u, max_abs)
-    if abs(fu) <= tol * (1.0 + abs(u)):
+    if abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
         return _on_branch(u, d, slope, max_abs)
     return _SolveResult(False, u, max_abs)
 

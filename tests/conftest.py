@@ -7,9 +7,8 @@ import pytest
 from volterrabound import (
     ExponentialDecayData,
     ExponentialWeight,
-    ForcingEnvelope,
-    KernelEnvelope,
     build_problem,
+    problem_from_dict,
 )
 
 HALF_PI = math.pi / 2.0
@@ -34,9 +33,14 @@ def atan_family_problem(rng):
     return build_problem(
         f_text,
         a_text,
-        ForcingEnvelope(c0=f0 * (1.0 + d) * (1.0 + 1e-12), b0=d),
-        KernelEnvelope(
-            c1=amp * HALF_PI, b1=m1 + m2, c2=amp * m1 * math.pi / (2.0 * m2), b=m1, p=0.5
+        ExponentialDecayData(
+            c0=f0 * (1.0 + d) * (1.0 + 1e-12),
+            b0=d,
+            c1=amp * HALF_PI,
+            b1=m1 + m2,
+            c2=amp * m1 * math.pi / (2.0 * m2),
+            b=m1,
+            p=0.5,
         ),
     )
 
@@ -66,29 +70,14 @@ QUADRATIC_PROBLEM = {
 }
 
 
-def spec_from(problem: dict):
-    return build_problem(
-        problem["f"],
-        problem["a"],
-        ForcingEnvelope(c0=problem["c0"], b0=problem["b0"]),
-        KernelEnvelope(
-            c1=problem["c1"],
-            b1=problem["b1"],
-            c2=problem["c2"],
-            b=problem["b"],
-            p=problem["p"],
-        ),
-    )
-
-
 @pytest.fixture
 def atan_spec():
-    return spec_from(ATAN_PROBLEM)
+    return problem_from_dict(ATAN_PROBLEM)
 
 
 @pytest.fixture
 def quadratic_spec():
-    return spec_from(QUADRATIC_PROBLEM)
+    return problem_from_dict(QUADRATIC_PROBLEM)
 
 
 def decay_terms(decay, t):

@@ -16,16 +16,17 @@ import numpy as np
 from volterrabound import (
     BlowUp,
     Completed,
+    ExponentialDecayData,
     ExponentialWeight,
     Grid,
+    InequalityData,
+    PowerDecayData,
     PowerWeight,
     build_problem,
     check_weight,
     derive_inequality,
     differentiate,
     evaluate,
-    make_exponential_data,
-    make_power_data,
     propagate_majorant,
     search_exponential,
     solve,
@@ -33,7 +34,6 @@ from volterrabound import (
 )
 from volterrabound.certificate import RATE_GRID
 from volterrabound.cli import main as cli_main
-from volterrabound.model import ForcingEnvelope, KernelEnvelope
 
 from conftest import QUADRATIC_PROBLEM, atan_family_problem, margin_direct, write_problem
 from test_expr import _random_expr, central_difference
@@ -78,7 +78,7 @@ def test_criterion_2_zero_kernel_identity():
     worst = 0.0
     for f_text, fn in (("cos(t)", np.cos), ("exp(-t)", lambda t: np.exp(-t))):
         spec = build_problem(
-            f_text, "0", ForcingEnvelope(2.0, 0.0), KernelEnvelope(0, 0, 0, 0, 1)
+            f_text, "0", ExponentialDecayData(2.0, 0.0, 0, 0, 0, 0, 1)
         )
         traj = solve(spec, Grid(t_end=3.0, h=0.05))
         reference = fn(traj.times())
@@ -89,7 +89,7 @@ def test_criterion_2_zero_kernel_identity():
 
 def test_criterion_3_linear_kernel_oracle():
     """u = 1 + int 2u is u(t) = exp(2t); second-order convergence."""
-    spec = build_problem("1", "2*u", ForcingEnvelope(1, 0), KernelEnvelope(2, 0, 0, 0, 0.5))
+    spec = build_problem("1", "2*u", ExponentialDecayData(1, 0, 2, 0, 0, 0, 0.5))
     exact = math.exp(2.0)
     errors = []
     for h in (1e-3, 5e-4, 2.5e-4, 1.25e-4):  # three halvings
@@ -158,7 +158,7 @@ def test_criterion_6_closed_form_search_check():
     """Symmetric envelopes (0.1, 2.0) with p = 1: the level function
     0.3c + 0.2/c is minimized at c* = sqrt(2/3) and the largest
     admissible rate is 2."""
-    data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=0.1)
+    data = InequalityData(0.1, ExponentialDecayData(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0))
     cert = search_exponential(data)
     expected_c = math.sqrt(2.0 / 3.0)
     grid_margin = float(np.min(margin_direct(data, cert.weight, np.linspace(0.0, 50.0, 5001))))
@@ -182,17 +182,17 @@ def _certified_instances(rng, count):
     two seeds attaining the start condition with equality."""
     instances = []
     # equality seeds first: w(0)*g(0) = 0.5 * 2 = 1 exactly
-    eq_data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=2.0)
+    eq_data = InequalityData(2.0, ExponentialDecayData(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0))
     for rate in (2.0, 1.5):
         cert = check_weight(eq_data, ExponentialWeight(coefficient=0.5, rate=rate))
         assert cert.certified and not cert.verdict.strict
         instances.append((eq_data, cert))
     # an explicit exponential and a power-law instance
-    exp_data = make_exponential_data(0.2, 1.0, 0.2, 1.0, 0.1, 1.0, 1.0, initial=0.5)
+    exp_data = InequalityData(0.5, ExponentialDecayData(0.2, 1.0, 0.2, 1.0, 0.1, 1.0, 1.0))
     explicit = check_weight(exp_data, ExponentialWeight(coefficient=0.5, rate=1.0))
     assert explicit.certified
     instances.append((exp_data, explicit))
-    pow_data = make_power_data(0.5, 2.0, 0.25, 3.0, 0.25, 2.5, 1.0, initial=0.5)
+    pow_data = InequalityData(0.5, PowerDecayData(0.5, 2.0, 0.25, 3.0, 0.25, 2.5, 1.0))
     pow_cert = check_weight(pow_data, PowerWeight(coefficient=0.5, rate=1.5))
     assert pow_cert.certified
     instances.append((pow_data, pow_cert))
@@ -203,7 +203,7 @@ def _certified_instances(rng, count):
         b0, b1, b = rng.uniform(1.0, 3.0, size=3)
         p = float(rng.choice([0.5, 0.75, 1.0, 1.5]))
         g0 = rng.uniform(0.0, 1.5)
-        data = make_exponential_data(c0, b0, c1, b1, c2, b, p, initial=g0)
+        data = InequalityData(g0, ExponentialDecayData(c0, b0, c1, b1, c2, b, p))
         cert = search_exponential(data)
         if cert.certified:
             instances.append((data, cert))

@@ -11,22 +11,21 @@ from volterrabound import (
     ExponentialDecayData,
     ExponentialWeight,
     Grid,
+    InequalityData,
+    PowerDecayData,
     PowerWeight,
     Refused,
     Trajectory,
     build_problem,
     check_weight,
     derive_inequality,
-    make_exponential_data,
-    make_power_data,
+    problem_from_dict,
     search_exponential,
     search_power,
     solve,
     verify_solution_bound,
 )
-from volterrabound.model import ForcingEnvelope, KernelEnvelope
-
-from conftest import decay_terms, margin_direct, spec_from, QUADRATIC_PROBLEM
+from conftest import decay_terms, margin_direct, QUADRATIC_PROBLEM
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +35,7 @@ from conftest import decay_terms, margin_direct, spec_from, QUADRATIC_PROBLEM
 
 def test_derive_quadratic_example(quadratic_spec):
     data = derive_inequality(quadratic_spec)
+    assert data.decay is quadratic_spec.envelope  # the problem's own record, not a copy
     assert data.decay == ExponentialDecayData(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     # drive = 1 + 1 = 2 (constant), gain = 1 * g^2
     drive, k = data.decay.tabulate(np.array([0.0, 1.0, 7.3]))
@@ -46,9 +46,10 @@ def test_derive_quadratic_example(quadratic_spec):
 
 def test_derive_vanishing_kernel_envelope():
     spec = build_problem(
-        "exp(-t)", "0", ForcingEnvelope(c0=2.0, b0=1.0), KernelEnvelope(0, 0, 0, 0, 1)
+        "exp(-t)", "0", ExponentialDecayData(2.0, 1.0, 0, 0, 0, 0, 1)
     )
     data = derive_inequality(spec)
+    assert data.decay is spec.envelope
     ts = np.array([0.0, 0.4, 3.0])
     drive, k = data.decay.tabulate(ts)
     assert np.all(k == 0.0)
@@ -58,6 +59,7 @@ def test_derive_vanishing_kernel_envelope():
 def test_derive_atan_structure(atan_spec):
     # Direct substitution oracle: drive and gain from the constants.
     data = derive_inequality(atan_spec)
+    assert data.decay is atan_spec.envelope
     hp = math.pi / 2.0
     for t in (0.0, 0.7, 2.5):
         drive, k = data.decay.tabulate(np.array([t]))
@@ -85,7 +87,7 @@ def test_check_weight_refuses_quadratic_data_for_any_rate(quadratic_spec):
 
 
 def test_check_weight_symmetric_envelopes():
-    data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=0.1)
+    data = InequalityData(0.1, ExponentialDecayData(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0))
     cert = check_weight(data, ExponentialWeight(coefficient=0.8165, rate=2.0))
     assert cert.verdict == Certified(strict=True)
     assert cert.margin_min >= 0.0
@@ -100,10 +102,10 @@ def test_check_weight_rejects_nonpositive_weight():
 
 
 def test_check_weight_needs_matching_decay_data():
-    power = make_power_data(1.0, 2.0, 0, 0, 0, 0, 1.0, initial=0.5)
+    power = InequalityData(0.5, PowerDecayData(1.0, 2.0, 0, 0, 0, 0, 1.0))
     with pytest.raises(ValueError, match="exponential decay data"):
         check_weight(power, ExponentialWeight(1.0, 1.0))
-    exponential = make_exponential_data(1.0, 1.0, 0, 0, 0, 0, 1.0, initial=0.5)
+    exponential = InequalityData(0.5, ExponentialDecayData(1.0, 1.0, 0, 0, 0, 0, 1.0))
     with pytest.raises(ValueError, match="power-law decay data"):
         check_weight(exponential, PowerWeight(1.0, 1.0))
 
@@ -111,27 +113,27 @@ def test_check_weight_needs_matching_decay_data():
 def test_decay_records_reject_bad_constants():
     # Finite constants, amplitudes >= 0 and p > 0 make the gain
     # k(t) * g^(2p) non-negative and non-decreasing in g >= 0.
-    for make, names in (
-        (make_exponential_data, ("c0", "b0", "c1", "b1", "c2", "b", "p")),
-        (make_power_data, ("d0", "e0", "d1", "e1", "d2", "e2", "p")),
+    for record, names in (
+        (ExponentialDecayData, ("c0", "b0", "c1", "b1", "c2", "b", "p")),
+        (PowerDecayData, ("d0", "e0", "d1", "e1", "d2", "e2", "p")),
     ):
         good = dict(zip(names, (0.5, 1.0, 0.5, 1.0, 0.5, 1.0, 1.0)))
-        assert make(**good, initial=0.5).decay.p == 1.0
+        assert InequalityData(0.5, record(**good)).decay.p == 1.0
         for name in names:
             for bad in (math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
-                    make(**{**good, name: bad}, initial=0.5)
+                    record(**{**good, name: bad})
         for name in names[0:6:2]:
             with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
-                make(**{**good, name: -1e-300}, initial=0.5)
+                record(**{**good, name: -1e-300})
         for p in (0.0, -1.0):
             with pytest.raises(ValueError, match="^p must be > 0"):
-                make(**{**good, "p": p}, initial=0.5)
+                record(**{**good, "p": p})
         for initial in (math.inf, math.nan):
             with pytest.raises(ValueError, match="^initial must be a finite number"):
-                make(**good, initial=initial)
+                InequalityData(initial, record(**good))
         with pytest.raises(ValueError, match="^initial must be >= 0"):
-            make(**good, initial=-1.0)
+            InequalityData(-1.0, record(**good))
 
 
 def test_weights_reject_non_finite_constants():
@@ -147,7 +149,7 @@ def test_weights_reject_non_finite_constants():
 
 def test_check_weight_overflow_is_a_refusal():
     # c < 1 raised to 1 - 2p = -5 overflows: the margin at t = 0 is -inf.
-    data = make_exponential_data(1, 1, 1, 1, 0, 0, 3.0, initial=0)
+    data = InequalityData(0, ExponentialDecayData(1, 1, 1, 1, 0, 0, 3.0))
     cert = check_weight(data, ExponentialWeight(1e-100, 0.5))
     assert isinstance(cert.verdict, Refused)
     assert cert.margin_min == -math.inf
@@ -157,7 +159,7 @@ def test_check_weight_overflow_is_a_refusal():
 def test_refused_certificate_carries_no_bound():
     # The tail exponent of this weight is positive; the refusal still
     # names the candidate, but claims no bound.
-    data = make_exponential_data(1, 1, 1, 1, 0, 0, 1.0, initial=0)
+    data = InequalityData(0, ExponentialDecayData(1, 1, 1, 1, 0, 0, 1.0))
     cert = check_weight(data, ExponentialWeight(1.0, 0.1))
     assert not cert.certified
     payload = cert.to_dict()
@@ -168,7 +170,7 @@ def test_refused_certificate_carries_no_bound():
 
 
 def test_strictness_propagation():
-    data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=2.0)
+    data = InequalityData(2.0, ExponentialDecayData(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0))
     # w(0) * g(0) = 0.5 * 2 = 1 exactly: certified, but not strict
     cert = check_weight(data, ExponentialWeight(coefficient=0.5, rate=2.0))
     assert cert.verdict == Certified(strict=False)
@@ -189,7 +191,7 @@ def test_strictness_propagation():
 def test_search_symmetric_envelopes_closed_form():
     # Independent minimizer oracle: h(c) = 0.3 c + 0.2 / c has its
     # minimum at c* = sqrt(2/3) with h(c*) = 2 sqrt(0.06) <= rate 2.
-    data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=0.1)
+    data = InequalityData(0.1, ExponentialDecayData(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0))
     cert = search_exponential(data)
     assert cert.verdict == Certified(strict=True)
     assert cert.weight.rate == 2.0
@@ -210,7 +212,7 @@ def test_search_refuses_quadratic_envelopes(quadratic_spec):
 
 
 def test_search_pure_forcing_degenerate():
-    data = make_exponential_data(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, initial=1.0)
+    data = InequalityData(1.0, ExponentialDecayData(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0))
     cert = search_exponential(data)
     assert isinstance(cert.verdict, Certified)
     c, q = cert.weight.coefficient, cert.weight.rate
@@ -223,7 +225,7 @@ def test_search_pure_forcing_degenerate():
 def test_search_level_condition_failure():
     # p > 1/2 with huge amplitudes and slow decay: min h exceeds the
     # largest admissible rate, refusal carries the best margin.
-    data = make_exponential_data(50.0, 0.1, 50.0, 0.1, 50.0, 0.1, 1.0, initial=0.01)
+    data = InequalityData(0.01, ExponentialDecayData(50.0, 0.1, 50.0, 0.1, 50.0, 0.1, 1.0))
     cert = search_exponential(data)
     assert isinstance(cert.verdict, Refused)
     assert "level condition" in cert.verdict.reason
@@ -233,7 +235,7 @@ def test_search_level_condition_failure():
 def test_search_rate_cap_rounded_down_until_tails_are_non_positive():
     # The cap 3.9/5 times the state slope 5 rounds to 3.9 + 4.4e-16; the
     # search steps the cap down by ulps instead of refusing on rounding.
-    data = make_exponential_data(0, 4.4, 0.206, 3.9, 0, 4.5, 3.0, initial=0)
+    data = InequalityData(0, ExponentialDecayData(0, 4.4, 0.206, 3.9, 0, 4.5, 3.0))
     cert = search_exponential(data)
     assert cert.certified, cert.verdict
     assert all(x <= 0.0 for x in cert.tail_check.exponents)
@@ -242,14 +244,14 @@ def test_search_rate_cap_rounded_down_until_tails_are_non_positive():
 
 def test_search_level_overflow_is_a_refusal():
     # c < 1 raised to 1 - 2p for a huge p overflows: the level is infinite.
-    data = make_exponential_data(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1e300, initial=2.0)
+    data = InequalityData(2.0, ExponentialDecayData(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1e300))
     cert = search_exponential(data)
     assert isinstance(cert.verdict, Refused)
     assert "min h = inf" in cert.verdict.reason
 
 
 def test_search_requires_exponential_data():
-    data = make_power_data(1.0, 2.0, 0, 0, 0, 0, 1.0, initial=0.0)
+    data = InequalityData(0.0, PowerDecayData(1.0, 2.0, 0, 0, 0, 0, 1.0))
     with pytest.raises(ValueError, match="exponential decay data"):
         search_exponential(data)
 
@@ -259,7 +261,7 @@ def test_search_rate_monotonicity():
     # tails still admissible (p = 1/2 keeps every rate admissible).
     rng = np.random.default_rng(7)
     for _ in range(20):
-        data = make_exponential_data(
+        decay = ExponentialDecayData(
             rng.uniform(0.1, 1.0),
             rng.uniform(0.5, 2.0),
             rng.uniform(0.1, 1.0),
@@ -267,8 +269,8 @@ def test_search_rate_monotonicity():
             rng.uniform(0.1, 1.0),
             rng.uniform(0.5, 2.0),
             0.5,
-            initial=rng.uniform(0.0, 1.5),
         )
+        data = InequalityData(rng.uniform(0.0, 1.5), decay)
         cert = search_exponential(data)
         if not cert.certified:
             continue
@@ -286,9 +288,9 @@ def test_margin_factored_path_matches_direct_expression():
     from volterrabound.certificate import _margin_at_zero, _reduction_data
 
     rng = np.random.default_rng(11)
-    for family, make, decay_range in (
-        (ExponentialWeight, make_exponential_data, (0.0, 2.0)),
-        (PowerWeight, make_power_data, (0.0, 4.0)),
+    for family, record, decay_range in (
+        (ExponentialWeight, ExponentialDecayData, (0.0, 2.0)),
+        (PowerWeight, PowerDecayData, (0.0, 4.0)),
     ):
         for _ in range(25):
             c0, c1, c2 = rng.uniform(0.05, 1.0, size=3)
@@ -296,7 +298,7 @@ def test_margin_factored_path_matches_direct_expression():
             p = float(rng.choice([0.5, 0.75, 1.0, 1.5]))
             q = rng.uniform(0.2, 2.0)
             c3 = rng.uniform(0.1, 1.5)
-            data = make(c0, b0, c1, b1, c2, b, p, initial=0.1)
+            data = InequalityData(0.1, record(c0, b0, c1, b1, c2, b, p))
             weight = family(coefficient=c3, rate=q)
             factored = _margin_at_zero(_reduction_data(data, family), weight)
             direct = float(margin_direct(data, weight, 0.0))
@@ -307,7 +309,7 @@ def test_power_margin_is_reported_at_zero_for_rates_below_one():
     # With rate < 1 the power margin (q/c) * (1+t)^(q-1) * (1 - sum)
     # falls with t, but its sign is that at t = 0 and the certificate
     # reports the margin there.
-    data = make_power_data(0.2, 2.0, 0.1, 3.0, 0.0, 0.0, 1.0, initial=0.5)
+    data = InequalityData(0.5, PowerDecayData(0.2, 2.0, 0.1, 3.0, 0.0, 0.0, 1.0))
     weight = PowerWeight(coefficient=1.0, rate=0.5)
     cert = check_weight(data, weight)
     assert cert.verdict == Certified(strict=True)
@@ -332,7 +334,7 @@ def test_reduction_equivalence_grid_vs_closed_form():
         q = max(coarse(0.25, 2.0), 0.25)
         g0 = rng.uniform(0.0, 2.0)
         c3 = rng.uniform(0.05, 0.95 / max(g0, 0.5))
-        data = make_exponential_data(c0, b0, c1, b1, c2, b, p, initial=g0)
+        data = InequalityData(g0, ExponentialDecayData(c0, b0, c1, b1, c2, b, p))
 
         level = (c0 + c1 + c2) * c3 + (c1 + c2) * c3 ** (1.0 - 2.0 * p)
         tails_ok = (2.0 * p - 1.0) * q - b1 <= 0.0 and (2.0 * p - 1.0) * q - b <= 0.0
@@ -354,7 +356,7 @@ def test_reduction_equivalence_grid_vs_closed_form():
 def test_power_degenerate_drive():
     # drive (1+t)^-2 alone: (1, 1) is an explicit witness and the sweep
     # must certify as well.
-    data = make_power_data(1.0, 2.0, 0, 0, 0, 0, 1.0, initial=0.5)
+    data = InequalityData(0.5, PowerDecayData(1.0, 2.0, 0, 0, 0, 0, 1.0))
     explicit = check_weight(data, PowerWeight(coefficient=1.0, rate=1.0))
     assert explicit.verdict == Certified(strict=True)
     assert explicit.margin_min >= 0.0
@@ -366,14 +368,14 @@ def test_power_degenerate_drive():
 def test_power_order_comparison_refusal():
     # gain order 2p*r + 1 - e1 stays positive for every rate when the
     # state decay order is below 1 and p >= 1.
-    data = make_power_data(0.5, 2.0, 0.5, 0.5, 0.0, 0.0, 1.0, initial=0.5)
+    data = InequalityData(0.5, PowerDecayData(0.5, 2.0, 0.5, 0.5, 0.0, 0.0, 1.0))
     cert = search_power(data)
     assert isinstance(cert.verdict, Refused)
     assert "no admissible rate" in cert.verdict.reason
 
 
 def test_power_zero_initial_trivially_strict():
-    data = make_power_data(1.0, 2.0, 0.2, 3.0, 0.0, 0.0, 1.0, initial=0.0)
+    data = InequalityData(0.0, PowerDecayData(1.0, 2.0, 0.2, 3.0, 0.0, 0.0, 1.0))
     cert = search_power(data)
     assert cert.certified
     assert cert.verdict.strict
@@ -390,7 +392,7 @@ def _assert_power_condition_pointwise(data, w, ts):
 
 
 def test_power_certified_bound_dominates_majorant_pointwise():
-    data = make_power_data(0.5, 2.0, 0.25, 3.0, 0.25, 2.5, 1.0, initial=0.5)
+    data = InequalityData(0.5, PowerDecayData(0.5, 2.0, 0.25, 3.0, 0.25, 2.5, 1.0))
     cert = search_power(data)
     assert cert.certified
     _assert_power_condition_pointwise(data, cert.weight, np.linspace(0.0, 40.0, 401))
@@ -400,7 +402,7 @@ def test_power_search_takes_the_rate_cap_off_the_grid():
     # The state order 2.5 caps the rate at (2.5 - 1)/(2p - 1) = 1.5, which
     # lies between two RATE_GRID points; h(c*) = 2*sqrt(2.2*0.25) ~ 1.483
     # is above the grid point below the cap, so only the cap certifies.
-    data = make_power_data(1.95, 3.0, 0, 0, 0.25, 2.5, 1.0, initial=0.5)
+    data = InequalityData(0.5, PowerDecayData(1.95, 3.0, 0, 0, 0.25, 2.5, 1.0))
     cert = search_power(data)
     assert cert.certified
     assert cert.weight.rate == 1.5
@@ -410,7 +412,7 @@ def test_power_search_takes_the_rate_cap_off_the_grid():
 
 
 def test_search_power_requires_power_data():
-    data = make_exponential_data(1, 1, 0, 0, 0, 0, 1.0, initial=0.0)
+    data = InequalityData(0.0, ExponentialDecayData(1, 1, 0, 0, 0, 0, 1.0))
     with pytest.raises(ValueError, match="power-law decay data"):
         search_power(data)
 
@@ -422,7 +424,7 @@ def test_search_power_requires_power_data():
 
 def test_verify_bound_zero_kernel():
     spec = build_problem(
-        "exp(-t)", "0", ForcingEnvelope(2.0, 1.0), KernelEnvelope(0, 0, 0, 0, 1)
+        "exp(-t)", "0", ExponentialDecayData(2.0, 1.0, 0, 0, 0, 0, 1)
     )
     traj = solve(spec, Grid(t_end=5.0, h=0.01))
     data = derive_inequality(spec)
@@ -435,7 +437,7 @@ def test_verify_bound_zero_kernel():
 
 def test_verify_bound_detects_manual_violation():
     spec = build_problem(
-        "exp(-t)", "0", ForcingEnvelope(2.0, 1.0), KernelEnvelope(0, 0, 0, 0, 1)
+        "exp(-t)", "0", ExponentialDecayData(2.0, 1.0, 0, 0, 0, 0, 1)
     )
     traj = solve(spec, Grid(t_end=5.0, h=0.1))
     data = derive_inequality(spec)
@@ -451,7 +453,7 @@ def test_verify_bound_detects_manual_violation():
 
 
 def test_verify_bound_preconditions(quadratic_spec):
-    data = make_exponential_data(0.1, 2, 0.1, 2, 0.1, 2, 1.0, initial=0.1)
+    data = InequalityData(0.1, ExponentialDecayData(0.1, 2, 0.1, 2, 0.1, 2, 1.0))
     good = check_weight(data, ExponentialWeight(0.5, 2.0))
     blown = solve(quadratic_spec, Grid(t_end=2.0, h=0.01))
     with pytest.raises(ValueError, match="did not complete"):
@@ -471,7 +473,7 @@ def test_verify_bound_preconditions(quadratic_spec):
 
 
 def test_certificate_to_dict_round_trips_through_json():
-    data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=0.1)
+    data = InequalityData(0.1, ExponentialDecayData(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0))
     cert = search_exponential(data)
     payload = json.loads(json.dumps(cert.to_dict()))
     assert payload["family"] == "exponential"
@@ -482,7 +484,7 @@ def test_certificate_to_dict_round_trips_through_json():
     assert all(x <= 0 for x in payload["tail_check"]["exponents"])
     assert "exp" in payload["bound"]
 
-    refusal = search_exponential(derive_inequality(spec_from(QUADRATIC_PROBLEM)))
+    refusal = search_exponential(derive_inequality(problem_from_dict(QUADRATIC_PROBLEM)))
     payload2 = json.loads(json.dumps(refusal.to_dict()))
     assert payload2["verdict"] == "refused"
     assert payload2["bound"] is None

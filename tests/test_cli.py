@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from volterrabound.cli import main
 
@@ -207,6 +208,31 @@ def test_infinite_envelope_constant_is_one_line_error(tmp_path, capsys):
     problem = write_problem(tmp_path / "p.json", dict(ATAN_PROBLEM, c0=math.inf))
     code = run(["certify", "--problem", problem, "--out", str(tmp_path)])
     _assert_one_line_error(capsys, code, "error: c0 must be a finite number")
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        pytest.param(name, -1, f"{name} must be >= 0", id=name)
+        for name in ("c0", "c1", "c2", "b0", "b1", "b")
+    ]
+    + [pytest.param("p", 0, "p must be > 0", id="p")],
+)
+def test_out_of_range_envelope_constant_is_named(tmp_path, capsys, name, value, message):
+    problem = write_problem(tmp_path / "p.json", dict(ATAN_PROBLEM, **{name: value}))
+    code = run(["certify", "--problem", problem, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name, value", [("c0", "2.0"), ("p", True)])
+def test_non_number_envelope_constant_is_named(tmp_path, capsys, name, value):
+    # JSON strings and booleans are not numbers, though float() reads them.
+    problem = write_problem(tmp_path / "p.json", dict(ATAN_PROBLEM, **{name: value}))
+    code = run(["certify", "--problem", problem, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {name} must be a number, got {value!r}\n"
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def test_oversized_grid_is_one_line_error(tmp_path, capsys):

@@ -6,12 +6,14 @@ import pytest
 from volterrabound import (
     BlowUp,
     Completed,
+    ExponentialDecayData,
     ExponentialWeight,
     Grid,
+    InequalityData,
+    PowerDecayData,
+    Trajectory,
     check_weight,
     derive_inequality,
-    make_exponential_data,
-    make_power_data,
     propagate_majorant,
     search_exponential,
     solve,
@@ -23,12 +25,13 @@ from test_acceptance import norm_derivative_check
 
 # g' = 1 + g^2, g(0) = 1: drive = 1 and k = 1, with closed form
 # tan(t + pi/4), which leaves the reals at t = pi/4.
-TANGENT = make_exponential_data(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, initial=1.0)
+TANGENT = InequalityData(1.0, ExponentialDecayData(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
 
 
 def test_zero_right_side_constant_curve():
-    data = make_exponential_data(0, 0, 0, 0, 0, 0, 1.0, initial=3.0)
+    data = InequalityData(3.0, ExponentialDecayData(0, 0, 0, 0, 0, 0, 1.0))
     curve = propagate_majorant(data, Grid(t_end=2.0, h=0.1))
+    assert isinstance(curve, Trajectory)
     assert isinstance(curve.status, Completed)
     assert np.all(curve.values == 3.0)
 
@@ -48,7 +51,7 @@ def test_quadratic_majorant_blow_up():
 def test_overflowing_stage_is_blow_up():
     # g' = g^100 + 1 from g(0) = 1: in the second step, the power of a
     # stage's state overflows before any value crosses the cap.
-    data = make_exponential_data(0, 0, 1, 0, 0, 0, 50.0, initial=1.0)
+    data = InequalityData(1.0, ExponentialDecayData(0, 0, 1, 0, 0, 0, 50.0))
     curve = propagate_majorant(data, Grid(t_end=1.0, h=0.01))
     assert curve.status == BlowUp(t_star=0.015)
 
@@ -92,7 +95,7 @@ def test_majorant_dominates_randomized_suite():
 
 
 def test_majorant_stays_below_certified_bound():
-    data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=0.1)
+    data = InequalityData(0.1, ExponentialDecayData(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0))
     cert = search_exponential(data)
     assert cert.certified
     grid = Grid(t_end=20.0, h=0.01)
@@ -103,7 +106,7 @@ def test_majorant_stays_below_certified_bound():
 
 def test_majorant_nonstrict_equality_at_start():
     # w(0) * g(0) = 1: the bound is attained at t = 0 and strict afterwards.
-    data = make_exponential_data(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0, initial=2.0)
+    data = InequalityData(2.0, ExponentialDecayData(0.1, 2.0, 0.1, 2.0, 0.1, 2.0, 1.0))
     cert = check_weight(data, ExponentialWeight(coefficient=0.5, rate=2.0))
     assert cert.certified and not cert.verdict.strict
     grid = Grid(t_end=10.0, h=0.01)
@@ -140,8 +143,8 @@ def _scalar_rk4(data, grid):
 @pytest.mark.parametrize(
     "data",
     [
-        make_exponential_data(0.5, 1.0, 0.3, 2.0, 0.2, 0.5, 0.75, initial=0.5),
-        make_power_data(0.5, 2.0, 0.3, 1.5, 0.2, 3.0, 0.75, initial=0.5),
+        InequalityData(0.5, ExponentialDecayData(0.5, 1.0, 0.3, 2.0, 0.2, 0.5, 0.75)),
+        InequalityData(0.5, PowerDecayData(0.5, 2.0, 0.3, 1.5, 0.2, 3.0, 0.75)),
     ],
     ids=["exponential", "power"],
 )

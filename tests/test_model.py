@@ -1,11 +1,11 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from volterrabound import (
-    ForcingEnvelope,
-    KernelEnvelope,
+    ExponentialDecayData,
     ProblemFileError,
     VariableScopeError,
     build_problem,
@@ -17,7 +17,7 @@ from volterrabound import (
 )
 from volterrabound.expr import ExprSyntaxError
 
-from conftest import ATAN_PROBLEM, QUADRATIC_PROBLEM, spec_from, write_problem
+from conftest import ATAN_PROBLEM, QUADRATIC_PROBLEM, write_problem
 
 
 def test_build_problem_derives_all_partials(atan_spec):
@@ -39,23 +39,26 @@ def test_build_problem_accepts_quadratic_example(quadratic_spec):
 
 def test_forcing_scope_rejected():
     with pytest.raises(VariableScopeError):
-        build_problem("exp(-s)", "u^2", ForcingEnvelope(1, 0), KernelEnvelope(1, 0, 0, 0, 1))
+        build_problem("exp(-s)", "u^2", ExponentialDecayData(1, 0, 1, 0, 0, 0, 1))
     with pytest.raises(VariableScopeError):
-        build_problem("u", "u^2", ForcingEnvelope(1, 0), KernelEnvelope(1, 0, 0, 0, 1))
+        build_problem("u", "u^2", ExponentialDecayData(1, 0, 1, 0, 0, 0, 1))
 
 
 def test_parse_errors_bubble_up():
     with pytest.raises(ExprSyntaxError):
-        build_problem("exp(-t", "u^2", ForcingEnvelope(1, 0), KernelEnvelope(1, 0, 0, 0, 1))
+        build_problem("exp(-t", "u^2", ExponentialDecayData(1, 0, 1, 0, 0, 0, 1))
 
 
 def test_envelope_validation():
-    with pytest.raises(ValueError):
-        ForcingEnvelope(c0=-1.0, b0=0.0)
-    with pytest.raises(ValueError):
-        KernelEnvelope(c1=1.0, b1=0.0, c2=0.0, b=0.0, p=0.0)
-    with pytest.raises(ValueError):
-        KernelEnvelope(c1=1.0, b1=-0.5, c2=0.0, b=0.0, p=1.0)
+    with pytest.raises(ValueError, match="c0 must be >= 0"):
+        ExponentialDecayData(c0=-1.0, b0=0.0, c1=0.0, b1=0.0, c2=0.0, b=0.0, p=1.0)
+    with pytest.raises(ValueError, match="p must be > 0"):
+        ExponentialDecayData(c0=0.0, b0=0.0, c1=1.0, b1=0.0, c2=0.0, b=0.0, p=0.0)
+    # The record admits negative rates (power data in log time needs
+    # them); a problem envelope does not.
+    growing = ExponentialDecayData(c0=0.0, b0=0.0, c1=1.0, b1=-0.5, c2=0.0, b=0.0, p=1.0)
+    with pytest.raises(ValueError, match="b1 must be >= 0"):
+        build_problem("1", "u", growing)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +69,7 @@ def test_envelope_validation():
 def test_forcing_margin_exact_zero_at_equality():
     # |f| + |f'| = 2 exp(-t) matches the envelope 2 exp(-t) exactly.
     spec = build_problem(
-        "exp(-t)", "0", ForcingEnvelope(c0=2.0, b0=1.0), KernelEnvelope(0, 0, 0, 0, 1)
+        "exp(-t)", "0", ExponentialDecayData(2.0, 1.0, 0, 0, 0, 0, 1)
     )
     report = validate_decay(spec, t_max=10.0, u_max=1.0)
     check = report.check("forcing-decay")
@@ -76,7 +79,7 @@ def test_forcing_margin_exact_zero_at_equality():
 
 def test_kernel_diagonal_margin_quadratic():
     # |a(t,t,u)| = u^2 <= 1 + u^2 leaves margin exactly 1.
-    spec = spec_from(QUADRATIC_PROBLEM)
+    spec = problem_from_dict(QUADRATIC_PROBLEM)
     report = validate_decay(spec, t_max=5.0, u_max=3.0)
     check = report.check("kernel-diagonal")
     assert check.margin == pytest.approx(1.0, abs=1e-12)
@@ -88,10 +91,10 @@ def test_kernel_variation_against_closed_form(atan_spec):
     # so the margin at (t, u_max) is
     #   (pi/2) e^(-t) (1 + u_max) - atan(u_max) e^(-t) (1 - e^(-t)).
     u_max = 4.0
-    report = validate_decay(atan_spec, t_max=8.0, u_max=u_max, n_samples=81)
+    report = validate_decay(atan_spec, t_max=8.0, u_max=u_max)
     check = report.check("kernel-variation")
     assert check.passed
-    ts = np.linspace(0.0, 8.0, 81)
+    ts = np.linspace(0.0, 8.0, 201)  # validate_decay's fixed t grid
     margins = (math.pi / 2.0) * np.exp(-ts) * (1.0 + u_max) - math.atan(u_max) * np.exp(
         -ts
     ) * (1.0 - np.exp(-ts))
@@ -102,7 +105,7 @@ def test_kernel_monotone_sign_matches_min_sample(atan_spec):
     report = validate_decay(atan_spec, t_max=5.0, u_max=2.0)
     assert report.check("kernel-monotone").passed  # a_u = e^(-(t+s))/(1+u^2) > 0
 
-    spec = spec_from(QUADRATIC_PROBLEM)
+    spec = problem_from_dict(QUADRATIC_PROBLEM)
     report2 = validate_decay(spec, t_max=5.0, u_max=2.0)
     check = report2.check("kernel-monotone")
     # a_u = 2u dips to -2 u_max on the sampled box; verdict is its sign.
@@ -135,13 +138,13 @@ def test_validation_monotone_in_envelopes():
         loose["b0"] = base["b0"] * rng.uniform(0.2, 1.0)
         loose["b1"] = base["b1"] * rng.uniform(0.2, 1.0)
         loose["b"] = base["b"] * rng.uniform(0.2, 1.0)
-        report = validate_decay(spec_from(loose), t_max=15.0, u_max=5.0)
+        report = validate_decay(problem_from_dict(loose), t_max=15.0, u_max=5.0)
         assert report.passed, loose
 
 
 def test_validation_domain_error_fails_report():
     spec = build_problem(
-        "1", "log(u)", ForcingEnvelope(1, 0), KernelEnvelope(1, 0, 0, 0, 1)
+        "1", "log(u)", ExponentialDecayData(1, 0, 1, 0, 0, 0, 1)
     )
     report = validate_decay(spec, t_max=2.0, u_max=2.0)  # samples include u <= 0
     assert not report.passed
@@ -152,7 +155,7 @@ def test_validation_argument_checks(atan_spec):
     with pytest.raises(ValueError):
         validate_decay(atan_spec, t_max=0.0, u_max=1.0)
     with pytest.raises(ValueError):
-        validate_decay(atan_spec, t_max=1.0, u_max=1.0, n_samples=1)
+        validate_decay(atan_spec, t_max=1.0, u_max=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +164,7 @@ def test_validation_argument_checks(atan_spec):
 
 
 def problem_to_dict(spec):
-    return {
-        "f": to_text(spec.f),
-        "a": to_text(spec.a),
-        "c0": spec.forcing_env.c0,
-        "b0": spec.forcing_env.b0,
-        "c1": spec.kernel_env.c1,
-        "b1": spec.kernel_env.b1,
-        "c2": spec.kernel_env.c2,
-        "b": spec.kernel_env.b,
-        "p": spec.kernel_env.p,
-    }
+    return {"f": to_text(spec.f), "a": to_text(spec.a), **asdict(spec.envelope)}
 
 
 def test_problem_file_round_trip(tmp_path):
@@ -182,7 +175,7 @@ def test_problem_file_round_trip(tmp_path):
     assert evaluate(reloaded.a, {"t": 0.3, "s": 0.1, "u": 1.0}) == evaluate(
         spec.a, {"t": 0.3, "s": 0.1, "u": 1.0}
     )
-    assert reloaded.kernel_env == spec.kernel_env
+    assert reloaded.envelope == spec.envelope
 
 
 def test_problem_file_missing_field(tmp_path):

@@ -7,9 +7,8 @@ from volterrabound import (
     BlowUp,
     Completed,
     EvalDomainError,
-    ForcingEnvelope,
+    ExponentialDecayData,
     Grid,
-    KernelEnvelope,
     NonConvergenceError,
     StepFailure,
     build_problem,
@@ -24,12 +23,12 @@ from volterrabound.expr import evaluate
 
 
 def zero_kernel_spec(f_text: str):
-    return build_problem(f_text, "0", ForcingEnvelope(2, 0), KernelEnvelope(0, 0, 0, 0, 1))
+    return build_problem(f_text, "0", ExponentialDecayData(2, 0, 0, 0, 0, 0, 1))
 
 
 def linear_spec():
     # u = 1 + int 2u  <=>  u' = 2u, u(0) = 1, so u(t) = exp(2t).
-    return build_problem("1", "2*u", ForcingEnvelope(1, 0), KernelEnvelope(2, 0, 0, 0, 0.5))
+    return build_problem("1", "2*u", ExponentialDecayData(1, 0, 2, 0, 0, 0, 0.5))
 
 
 def test_grid_nodes():
@@ -108,12 +107,6 @@ def test_quadratic_kernel_blow_up(quadratic_spec):
     assert np.all(np.abs(traj.values) <= 1e8)
 
 
-def test_blowup_cap_parameter(quadratic_spec):
-    loose = solve(quadratic_spec, Grid(t_end=2.0, h=1e-2), blowup_cap=1e3)
-    assert isinstance(loose.status, BlowUp)
-    assert loose.status.t_star < 1.01
-
-
 def test_determinism(quadratic_spec):
     g = Grid(t_end=0.8, h=1e-3)
     t1 = solve(quadratic_spec, g)
@@ -124,9 +117,9 @@ def test_determinism(quadratic_spec):
 
 def test_monotone_comparison_in_forcing():
     # a_u >= 0 makes the scheme monotone in the forcing.
-    ke = KernelEnvelope(c1=math.pi / 2, b1=2.0, c2=math.pi / 2, b=1.0, p=0.5)
-    low = build_problem("0.5*exp(-t)", "exp(-(t+s))*atan(u)", ForcingEnvelope(1.0, 1.0), ke)
-    high = build_problem("exp(-t)", "exp(-(t+s))*atan(u)", ForcingEnvelope(2.0, 1.0), ke)
+    kernel = (math.pi / 2, 2.0, math.pi / 2, 1.0, 0.5)
+    low = build_problem("0.5*exp(-t)", "exp(-(t+s))*atan(u)", ExponentialDecayData(1.0, 1.0, *kernel))
+    high = build_problem("exp(-t)", "exp(-(t+s))*atan(u)", ExponentialDecayData(2.0, 1.0, *kernel))
     grid = Grid(t_end=5.0, h=0.01)
     u_low = solve(low, grid)
     u_high = solve(high, grid)
@@ -137,7 +130,7 @@ def test_step_failure_when_kernel_leaves_domain():
     # sqrt(u) with a forcing that drags u negative: the implicit root
     # disappears without any growth, which is a step failure, not blow-up.
     spec = build_problem(
-        "0.1 - t", "sqrt(u)", ForcingEnvelope(2, 0), KernelEnvelope(1, 0, 0, 0, 0.5)
+        "0.1 - t", "sqrt(u)", ExponentialDecayData(2, 0, 1, 0, 0, 0, 0.5)
     )
     traj = solve(spec, Grid(t_end=1.0, h=0.01))
     assert isinstance(traj.status, StepFailure)
@@ -146,7 +139,7 @@ def test_step_failure_when_kernel_leaves_domain():
 
 def test_forcing_domain_error_at_start_propagates():
     spec = build_problem(
-        "log(t)", "0", ForcingEnvelope(1, 0), KernelEnvelope(0, 0, 0, 0, 1)
+        "log(t)", "0", ExponentialDecayData(1, 0, 0, 0, 0, 0, 1)
     )
     with pytest.raises(EvalDomainError):
         solve(spec, Grid(t_end=1.0, h=0.5))
@@ -156,25 +149,18 @@ def test_forcing_pole_detected_as_blow_up():
     # A pole in f alone drives |u| past the cap; the halving machinery
     # localizes it like a kernel-driven blow-up.
     spec = build_problem(
-        "1/(1-t)", "0", ForcingEnvelope(1, 0), KernelEnvelope(0, 0, 0, 0, 1)
+        "1/(1-t)", "0", ExponentialDecayData(1, 0, 0, 0, 0, 0, 1)
     )
     traj = solve(spec, Grid(t_end=2.0, h=0.125))
     assert isinstance(traj.status, BlowUp)
     assert 0.95 < traj.status.t_star < 1.05
 
 
-def test_solver_argument_checks(quadratic_spec):
-    with pytest.raises(ValueError):
-        solve(quadratic_spec, Grid(t_end=1.0, h=0.1), newton_tol=0.0)
-    with pytest.raises(ValueError):
-        solve(quadratic_spec, Grid(t_end=1.0, h=0.1), blowup_cap=-1.0)
-
-
 def test_odd_power_blow_up_not_continued_on_a_spurious_root():
     # u = 1 + int u^3 blows up at t* = 1/2.  The implicit step of an odd
     # power always has a real root; past the fold only a far negative one
     # with slope 1 - w*a_u < 0 is left, and it must not be accepted.
-    spec = build_problem("1", "u^3", ForcingEnvelope(1, 0), KernelEnvelope(1, 0, 0, 0, 1.5))
+    spec = build_problem("1", "u^3", ExponentialDecayData(1, 0, 1, 0, 0, 0, 1.5))
     h = 5e-4
     traj = solve(spec, Grid(t_end=1.0, h=h))
     assert isinstance(traj.status, BlowUp)
@@ -193,7 +179,7 @@ def test_flat_step_without_root_fails_at_once(quadratic_spec, monkeypatch):
         return evaluate(e, bindings)
 
     monkeypatch.setattr(solver, "evaluate", counting)
-    res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 1.0, 1e-12)
+    res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 1.0)
     assert not res.converged
     assert len(calls) <= 2
     assert res.max_abs == 1.0
@@ -209,9 +195,9 @@ DIRECT = "*(1 + 0*atan(t*s))"
 
 
 def _split_and_direct(f_text, a_text, grid):
-    env = (ForcingEnvelope(10, 0), KernelEnvelope(10, 0, 0, 0, 1))
-    split = solve(build_problem(f_text, a_text, *env), grid)
-    direct = solve(build_problem(f_text, f"({a_text}){DIRECT}", *env), grid)
+    env = ExponentialDecayData(10, 0, 10, 0, 0, 0, 1)
+    split = solve(build_problem(f_text, a_text, env), grid)
+    direct = solve(build_problem(f_text, f"({a_text}){DIRECT}", env), grid)
     return split, direct
 
 
@@ -262,7 +248,7 @@ def test_split_lag_falls_back_where_a_factor_overflows(monkeypatch):
 
 def test_non_separable_kernel_matches_picard():
     spec = build_problem(
-        "exp(-t)", "atan(t*s*u)", ForcingEnvelope(2, 1), KernelEnvelope(2, 0, 2, 0, 0.5)
+        "exp(-t)", "atan(t*s*u)", ExponentialDecayData(2, 1, 2, 0, 2, 0, 0.5)
     )
     grid = Grid(t_end=1.0, h=2e-3)
     direct = solve(spec, grid)
@@ -277,9 +263,7 @@ def test_separable_kernel_never_evaluates_over_the_history(monkeypatch, atan_spe
     assert len(traj.values) == 2001
     assert calls["array"] == 0 and calls["scalar"] > 2000
     # The counter does see the direct quadrature, once per step.
-    direct = build_problem(
-        "exp(-t)", "exp(-(t+s))*atan(u)" + DIRECT, atan_spec.forcing_env, atan_spec.kernel_env
-    )
+    direct = build_problem("exp(-t)", "exp(-(t+s))*atan(u)" + DIRECT, atan_spec.envelope)
     solve(direct, Grid(t_end=0.01, h=1e-3))
     assert calls["array"] == 10
 
@@ -308,10 +292,8 @@ def test_picard_diverges_past_blow_up(quadratic_spec):
         picard_reference(quadratic_spec, Grid(t_end=1.5, h=0.01))
 
 
-def test_picard_cross_validates_atan_problem():
-    from conftest import ATAN_PROBLEM, spec_from
-
-    spec = spec_from(ATAN_PROBLEM)
+def test_picard_cross_validates_atan_problem(atan_spec):
+    spec = atan_spec
     grid = Grid(t_end=1.0, h=2e-3)
     direct = solve(spec, grid)
     fixed_point = picard_reference(spec, grid)
@@ -349,7 +331,7 @@ def test_trajectory_csv_blowup_status(tmp_path, quadratic_spec):
 
 def test_trajectory_csv_step_failure_status(tmp_path):
     spec = build_problem(
-        "0.1 - t", "sqrt(u)", ForcingEnvelope(2, 0), KernelEnvelope(1, 0, 0, 0, 0.5)
+        "0.1 - t", "sqrt(u)", ExponentialDecayData(2, 0, 1, 0, 0, 0, 0.5)
     )
     traj = solve(spec, Grid(t_end=1.0, h=0.01))
     path = tmp_path / "trajectory.csv"
