@@ -11,7 +11,6 @@ that re-parses to an equivalent tree.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Union
@@ -105,15 +104,22 @@ class Expr:
     def __str__(self) -> str:
         return to_text(self)
 
-    # The compiled evaluators live in the instance __dict__, outside the
+    # The generated evaluators live in the instance __dict__, outside the
     # dataclass fields, so ==, hash and repr never see them.
     @cached_property
-    def _scalar(self) -> Callable:
-        return _compile(self, _SCALAR)
+    def scalar(self) -> Callable:
+        """This tree as a function of positional floats ``(t, s, u)``,
+        computed with :mod:`math` and checked as :func:`evaluate` checks
+        it.  A position the tree does not read may hold anything; pass
+        None there.  Generated on first use and kept on the node."""
+        return _generate(self, _SCALAR)
 
     @cached_property
-    def _array(self) -> Callable:
-        return _compile(self, _ARRAY)
+    def array(self) -> Callable:
+        """The same over numpy arrays of floats (or floats), broadcast
+        elementwise; call it under ``np.errstate(all="ignore")``, as
+        :func:`evaluate` does, since overflow is reported per node."""
+        return _generate(self, _ARRAY)
 
 
 @dataclass(frozen=True)
@@ -293,7 +299,7 @@ class _Parser:
             if variables(exponent):
                 raise ExprSyntaxError(exp_pos, "pow exponent must be a constant expression")
             try:
-                value = _compile(exponent, _SCALAR)({})
+                value = exponent.scalar(None, None, None)
             except ExprError:
                 raise ExprSyntaxError(exp_pos, "pow exponent does not evaluate to a finite constant") from None
             return Binary("pow", base, Constant(value))
@@ -303,7 +309,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Constant(float(tok.text))
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ExprSyntaxError(tok.pos, "number out of range")
+            return Constant(value)
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -330,7 +339,8 @@ def parse(text: str) -> Expr:
 
     Raises :class:`ExprSyntaxError` with the offending position for
     empty input, unbalanced parentheses, unknown identifiers, malformed
-    numbers, and non-constant pow exponents.
+    numbers, numbers that overflow a binary64, and non-constant pow
+    exponents.
     """
     if not text or not text.strip():
         raise ExprSyntaxError(0, "empty input")
@@ -346,121 +356,166 @@ def evaluate(e: Expr, bindings: Mapping[str, Binding]):
     """Evaluate ``e`` with variable bindings.
 
     Bindings may be scalars or numpy arrays (broadcast elementwise).
-    Scalars are computed with :mod:`math`, arrays with numpy; each tree
-    is compiled once per kind and the result is kept on the node.  The
-    result never silently carries NaN or Inf; any excursion outside the
-    finite reals raises :class:`EvalDomainError` naming the node where
-    it happened.
+    Scalars are computed with :mod:`math` by ``e.scalar``, arrays with
+    numpy by ``e.array``; the bindings become their positional
+    ``(t, s, u)`` arguments.  The result never silently carries NaN or
+    Inf; any excursion outside the finite reals raises
+    :class:`EvalDomainError` naming the node where it happened.  A
+    variable the tree reads but ``bindings`` lacks raises
+    :class:`UnboundVariableError` before anything is computed.
     """
-    for v in bindings.values():
-        if isinstance(v, np.ndarray):
-            with np.errstate(all="ignore"):  # overflow is reported per node instead
-                return e._array(bindings)
-    return e._scalar(bindings)
+    unbound = [name for name in VARIABLES if name not in bindings]
+    if unbound:
+        used = variables(e)
+        for name in unbound:
+            if name in used:
+                raise UnboundVariableError(name)
+    args = [_read(bindings[name]) if name in bindings else None for name in VARIABLES]
+    if not any(isinstance(v, np.ndarray) for v in bindings.values()):
+        return e.scalar(*args)
+    with np.errstate(all="ignore"):  # overflow is reported per node instead
+        return e.array(*args)
+
+
+def _read(value: Binding):
+    return np.asarray(value, dtype=float) if isinstance(value, np.ndarray) else float(value)
 
 
 class _Backend(NamedTuple):
-    """How one kind of value is computed and checked."""
+    """How one kind of value is computed and checked, for the generated
+    source: the names it may call, and the source of its two tests."""
 
-    functions: Mapping[str, Callable]  # every unary op, and "pow"
-    any: Callable  # does an elementwise test hold anywhere
-    finite: Callable  # is every element finite
-    read: Callable  # converts one binding
+    namespace: Mapping[str, object]  # every unary op but neg, "pow", and what the tests call
+    anywhere: str  # does the elementwise test {} hold anywhere
+    nonfinite: str  # is some element of {} not finite
 
 
 _SCALAR = _Backend(
-    {"neg": operator.neg, "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
-     "atan": math.atan, "sqrt": math.sqrt, "abs": abs, "pow": math.pow},
-    bool,
-    math.isfinite,
-    float,
+    {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos, "atan": math.atan,
+     "sqrt": math.sqrt, "abs": abs, "pow": math.pow},
+    "{}",
+    "{0} - {0} != 0.0",  # x - x is 0.0 for every finite float and NaN otherwise
 )
 _ARRAY = _Backend(
-    {"neg": operator.neg, "exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
-     "atan": np.arctan, "sqrt": np.sqrt, "abs": np.abs, "pow": np.power},
-    np.any,
-    lambda v: np.isfinite(v).all(),
-    lambda v: np.asarray(v, dtype=float) if isinstance(v, np.ndarray) else float(v),
+    {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos, "atan": np.arctan,
+     "sqrt": np.sqrt, "abs": np.abs, "pow": np.power, "any": np.any, "isfinite": np.isfinite},
+    "any({})",
+    "not isfinite({}).all()",
 )
 
-_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
-
-# Unary ops whose result is checked for overflow, with the domain rules
-# checked on the operand first, each as (comparison with 0.0 that puts
-# the operand outside the domain, message).
+# Ops whose result is checked for overflow, with the domain rules checked
+# on the operand first, each as (comparison with 0.0 that puts the
+# operand outside the domain, message).  sin, cos, atan, abs and neg
+# are not checked.
 _UNARY_RULES = {
     "exp": (),
-    "log": ((operator.le, "log of a non-positive value"),),
-    "sqrt": ((operator.lt, "sqrt of a negative value"),),
+    "log": (("<=", "log of a non-positive value"),),
+    "sqrt": (("<", "sqrt of a negative value"),),
 }
-_ZERO_BASE = (operator.eq, "zero base with a negative exponent")
-_NEGATIVE_BASE = (operator.lt, "negative base with a non-integer exponent")
+_ZERO_BASE = ("==", "zero base with a negative exponent")
+_NEGATIVE_BASE = ("<", "negative base with a non-integer exponent")
+_UNCHECKED = ("sin", "cos", "atan", "abs")
 
 
-def _compile(e: Expr, k: _Backend) -> Callable:
-    """Turn ``e`` into a function of the bindings.
+def _children(node: Expr) -> tuple:
+    if isinstance(node, Unary):
+        return (node.child,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    return ()
 
-    Each node becomes one closure that calls its children's closures
-    directly and checks its own domain rules, so evaluation costs one
-    Python frame per tree level, as a recursive interpreter would.
+
+def _generate(root: Expr, k: _Backend) -> Callable:
+    """Turn ``root`` into one flat Python function of positional
+    ``(t, s, u)``, built with :func:`compile` from :func:`_source`."""
+    source, namespace = _source(root, k)
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["evaluator"]
+
+
+def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
+    """The source of ``root``'s evaluator and the namespace it runs in.
+
+    The body has one statement per node, in post-order, each followed by
+    that node's domain checks, so evaluation takes one frame however deep
+    the tree is.  A subtree that occurs twice as the same object (the
+    derivatives share them) is computed once; nodes are keyed by
+    identity, since hashing a frozen tree recurses through it.  Each
+    variable is checked where post-order first reads it.  The source is
+    built from node kinds alone: it names only its SSA values, t, s, u
+    and the namespace, which binds every constant, node and function.
     """
-    if isinstance(e, Constant):
-        value = e.value
-        return lambda b: value
-    anywhere, finite = k.any, k.finite
-    if isinstance(e, Variable):
-        name, read = e.name, k.read
+    namespace = dict(k.namespace, error=EvalDomainError, math_errors=(OverflowError, ValueError))
+    lines = ["def evaluator(t, s, u):"]
+    names = {}  # id(node) -> the source name of its value
+    refs = {}  # id(node) -> the namespace name of the node, for its errors
+    checked = set()  # variables already tested for finiteness
 
-        def variable(b):
-            try:
-                v = read(b[name])
-            except KeyError:
-                raise UnboundVariableError(name) from None
-            if not finite(v):
-                raise EvalDomainError(e, f"non-finite binding for '{name}'")
-            return v
+    def bind(prefix: str, value) -> str:
+        name = f"{prefix}{len(namespace)}"
+        namespace[name] = value
+        return name
 
-        return variable
-    if isinstance(e, Binary) and e.op != "pow":
-        left, right = _compile(e.left, k), _compile(e.right, k)
-        fn, divides = _ARITHMETIC[e.op], e.op == "div"
+    def raising(node: Expr, message: str) -> str:
+        if id(node) not in refs:
+            refs[id(node)] = bind("n", node)
+        return f"raise error({refs[id(node)]}, {message!r})"
 
-        def arithmetic(b):
-            x, y = left(b), right(b)
-            if divides and anywhere(y == 0.0):
-                raise EvalDomainError(e, "division by zero")
-            v = fn(x, y)
-            if not finite(v):
-                raise EvalDomainError(e, "overflow")
-            return v
+    def check(node: Expr, test: str, message: str) -> None:
+        lines.extend((f"    if {test}:", f"        {raising(node, message)}"))
 
-        return arithmetic
-    if isinstance(e, Binary):  # pow; the exponent is a Constant by construction
-        c = e.right.value
-        operand, fn, extra = _compile(e.left, k), k.functions["pow"], (c,)
-        rules = ([_ZERO_BASE] if c < 0.0 else []) + ([] if c.is_integer() else [_NEGATIVE_BASE])
-    elif isinstance(e, Unary):
-        operand, fn, extra = _compile(e.child, k), k.functions[e.op], ()
-        if e.op not in _UNARY_RULES:
-            return lambda b: fn(operand(b))
-        rules = _UNARY_RULES[e.op]
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
+    def emit(node: Expr) -> str:
+        if isinstance(node, Constant):
+            return bind("c", node.value)
+        if isinstance(node, Variable):
+            if node.name not in checked:
+                checked.add(node.name)
+                check(node, k.nonfinite.format(node.name), f"non-finite binding for '{node.name}'")
+            return node.name
+        value = f"v{len(names)}"
+        operands = [names[id(child)] for child in _children(node)]
+        if isinstance(node, Unary) and node.op == "neg":
+            lines.append(f"    {value} = -{operands[0]}")
+            return value
+        if isinstance(node, Unary) and node.op in _UNCHECKED:
+            lines.append(f"    {value} = {node.op}({operands[0]})")
+            return value
+        if isinstance(node, Binary) and node.op != "pow":
+            if node.op == "div":
+                check(node, k.anywhere.format(f"{operands[1]} == 0.0"), "division by zero")
+            lines.append(f"    {value} = {operands[0]} {_BINARY_SYMBOL[node.op]} {operands[1]}")
+        else:
+            if isinstance(node, Binary):  # pow; the exponent is a Constant by construction
+                c = node.right.value
+                rules = ([_ZERO_BASE] if c < 0.0 else []) + ([] if c.is_integer() else [_NEGATIVE_BASE])
+                call = f"pow({operands[0]}, {operands[1]})"
+            elif isinstance(node, Unary):
+                rules = _UNARY_RULES[node.op]
+                call = f"{node.op}({operands[0]})"
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            for comparison, message in rules:
+                check(node, k.anywhere.format(f"{operands[0]} {comparison} 0.0"), message)
+            # math raises where numpy returns inf
+            lines.extend(("    try:", f"        {value} = {call}", "    except math_errors:",
+                          f"        {raising(node, 'overflow')} from None"))
+        check(node, k.nonfinite.format(value), "overflow")
+        return value
 
-    def checked(b):
-        x = operand(b)
-        for outside, message in rules:
-            if anywhere(outside(x, 0.0)):
-                raise EvalDomainError(e, message)
-        try:
-            v = fn(x, *extra)
-        except (OverflowError, ValueError):  # math raises where numpy returns inf
-            raise EvalDomainError(e, "overflow") from None
-        if not finite(v):
-            raise EvalDomainError(e, "overflow")
-        return v
-
-    return checked
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in names:
+            stack.pop()
+            continue
+        pending = [child for child in _children(node) if id(child) not in names]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        names[id(node)] = emit(node)
+    lines.append(f"    return {names[id(root)]}")
+    return "\n".join(lines) + "\n", namespace
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +549,7 @@ def _binary(op: str, a: Expr, b: Expr) -> Expr:
     node = Binary(op, a, b)
     if isinstance(a, Constant) and isinstance(b, Constant):
         try:
-            return Constant(_compile(node, _SCALAR)({}))
+            return Constant(node.scalar(None, None, None))
         except ExprError:
             pass  # folding would hide a domain error; keep the node
     return node

@@ -386,7 +386,11 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         value = data[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ProblemFileError(f"{name} must be a number, got {value!r}")
-        numbers[name] = float(value)
+        try:
+            numbers[name] = float(value)
+        except OverflowError:  # an integer past the binary64 range
+            raise ProblemFileError(f"{name} must be a finite number, got an integer too large "
+                                   "for a float") from None
     if not isinstance(data["f"], str) or not isinstance(data["a"], str):
         raise ProblemFileError("fields 'f' and 'a' must be expression strings")
     try:

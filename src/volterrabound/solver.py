@@ -16,6 +16,10 @@ Cost: when the kernel separates as a = sum_k phi_k(t) * psi_k(s, u)
 sum of psi_k per term, so N nodes cost O(N) kernel evaluations.  Other
 kernels, and separable ones after a factor has left its domain or
 overflowed, are summed over every stored node at every attempt: O(N^2).
+The scalar work (f, Newton's residual and slope, the running sums) calls
+each tree's generated ``Expr.scalar`` function with positional floats,
+one Python frame per evaluation; only the sum over the history goes
+through ``evaluate``, once per attempt, with numpy arrays.
 """
 
 from __future__ import annotations
@@ -136,20 +140,18 @@ class _LagSums:
     __slots__ = ("outer", "inner", "closed", "last")
 
     def __init__(self, terms, s0: float, u0: float):
-        self.outer = [outer for outer, _ in terms]
-        self.inner = [inner for _, inner in terms]
+        self.outer = [outer.scalar for outer, _ in terms]
+        self.inner = [inner.scalar for _, inner in terms]
         self.closed = [0.0] * len(terms)
         self.last = self._inner_values(s0, u0)
 
     def _inner_values(self, s: float, u: float) -> list:
-        bindings = {"s": s, "u": u}
-        return [float(evaluate(inner, bindings)) for inner in self.inner]
+        return [inner(None, s, u) for inner in self.inner]
 
     def lag(self, t: float, half_step: float) -> float:
-        bindings = {"t": t}
         total = 0.0
         for outer, closed, last in zip(self.outer, self.closed, self.last):
-            total += float(evaluate(outer, bindings)) * (closed + half_step * last)
+            total += outer(t, None, None) * (closed + half_step * last)
         return total
 
     def close_segment(self, half_step: float, s: float, u: float) -> None:
@@ -220,7 +222,7 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     before blow-up or failure.
     """
     tgrid = grid.times()
-    u0 = float(evaluate(spec.f, {"t": 0.0}))
+    u0 = spec.f.scalar(0.0, None, None)
     hist = _History(0.0, u0, spec.a)
     values = [u0]
     status: Status = Completed()
@@ -286,7 +288,7 @@ def _attempt_step(spec, hist, t_new) -> _SolveResult:
     """
     half_step = 0.5 * (t_new - hist.last_t)
     try:
-        fval = float(evaluate(spec.f, {"t": t_new}))
+        fval = spec.f.scalar(t_new, None, None)
         lag = hist.split_lag(t_new, half_step)
         if lag is None:
             lag = _direct_lag(spec, hist, t_new)
@@ -322,12 +324,13 @@ def _implicit_scalar(spec, t, rhs, weight, u_start) -> _SolveResult:
     when its iterations run out.  The attempt then fails with the largest
     |u| reached so far, and the caller halves the step.
     """
+    a, a_u = spec.a.scalar, spec.a_u.scalar
 
     def residual(u: float) -> float:
-        return u - rhs - weight * float(evaluate(spec.a, {"t": t, "s": t, "u": u}))
+        return u - rhs - weight * a(t, t, u)
 
     def slope(u: float) -> float:
-        return 1.0 - weight * float(evaluate(spec.a_u, {"t": t, "s": t, "u": u}))
+        return 1.0 - weight * a_u(t, t, u)
 
     max_abs = abs(u_start)
     u = u_start

@@ -210,6 +210,22 @@ def test_infinite_envelope_constant_is_one_line_error(tmp_path, capsys):
     _assert_one_line_error(capsys, code, "error: c0 must be a finite number")
 
 
+def test_integer_too_large_for_a_float_is_named(tmp_path, capsys):
+    # JSON integers have no size limit; 10^400 has no binary64 value.
+    problem = write_problem(tmp_path / "p.json", dict(ATAN_PROBLEM, c0=10**400))
+    code = run(["certify", "--problem", problem, "--out", str(tmp_path)])
+    _assert_one_line_error(capsys, code, "error: c0 must be a finite number")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "certify"])
+def test_overflowing_literal_is_one_line_error(tmp_path, capsys, command):
+    problem = write_problem(tmp_path / "p.json", dict(ATAN_PROBLEM, f="1e400"))
+    grid = [] if command == "certify" else ["--t-end", "0.1", "--step", "0.01"]
+    code = run([command, "--problem", problem, "--out", str(tmp_path)] + grid)
+    _assert_one_line_error(capsys, code, "error: number out of range (at position 0)")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize(
     "name, value, message",
     [

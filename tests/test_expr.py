@@ -1,9 +1,14 @@
+import ast
+import io
 import math
+import re
+import tokenize
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from volterrabound import expr as expr_module
 from volterrabound.expr import (
     Binary,
     Constant,
@@ -63,6 +68,16 @@ def test_unknown_identifier():
 def test_malformed_number():
     with pytest.raises(ExprSyntaxError):
         parse("1e+ * t")
+
+
+@pytest.mark.parametrize("text, position", [("1e400", 0), ("t + 2E309*u", 4), ("u^1e999", 2)])
+def test_number_overflowing_binary64_rejected(text, position):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert err.value.message == "number out of range"
+    assert err.value.position == position
+    # underflow to zero is a finite number
+    assert parse("1e-400") == Constant(0.0)
 
 
 def test_named_constants():
@@ -235,20 +250,29 @@ def test_variables():
 # ---------------------------------------------------------------------------
 
 
-def _random_expr(rng, depth, leaf_vars=("t", "s", "u")):
-    """Expression valid on bindings in [0.3, 2] with safe domains."""
+def _random_expr(rng, depth, leaf_vars=("t", "s", "u"), guarded=True):
+    """Expression valid on bindings in [0.3, 2] with safe domains.  With
+    ``guarded=False`` the operands of log, sqrt and the divisor are left
+    bare or raised to -1 or 0.5, so every domain rule can fail."""
+
+    def positive(x, c):
+        if guarded:
+            return Binary("add", Binary("pow", x, Constant(2.0)), Constant(c))
+        exponent = (None, -1.0, 0.5)[rng.integers(0, 3)]
+        return x if exponent is None else Binary("pow", x, Constant(exponent))
+
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.5:
             return Constant(round(rng.uniform(0.3, 2.5), 6))
         return Variable(leaf_vars[rng.integers(0, len(leaf_vars))])
     kind = rng.integers(0, 9)
-    child = _random_expr(rng, depth - 1, leaf_vars)
+    child = _random_expr(rng, depth - 1, leaf_vars, guarded)
     if kind == 0:
         return Unary("neg", child)
     if kind == 1:
         return Unary("exp", Unary("neg", child) if rng.random() < 0.5 else child)
     if kind == 2:  # keep log arguments positive
-        return Unary("log", Binary("add", Binary("pow", child, Constant(2.0)), Constant(0.5)))
+        return Unary("log", positive(child, 0.5))
     if kind == 3:
         return Unary("sin", child)
     if kind == 4:
@@ -256,14 +280,13 @@ def _random_expr(rng, depth, leaf_vars=("t", "s", "u")):
     if kind == 5:
         return Unary("atan", child)
     if kind == 6:  # keep sqrt arguments positive
-        return Unary("sqrt", Binary("add", Binary("pow", child, Constant(2.0)), Constant(0.3)))
-    other = _random_expr(rng, depth - 1, leaf_vars)
+        return Unary("sqrt", positive(child, 0.3))
+    other = _random_expr(rng, depth - 1, leaf_vars, guarded)
     if kind == 7:
         op = ("add", "sub", "mul")[rng.integers(0, 3)]
         return Binary(op, child, other)
     # division with a denominator bounded away from zero
-    denom = Binary("add", Binary("pow", other, Constant(2.0)), Constant(0.5))
-    return Binary("div", child, denom)
+    return Binary("div", child, positive(other, 0.5))
 
 
 def test_print_parse_round_trip_random_trees():
@@ -318,6 +341,111 @@ def test_derivative_matches_central_difference():
             continue
         assert abs(sym - fd) <= 1e-6 * (1.0 + abs(sym))
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# Generated evaluators
+# ---------------------------------------------------------------------------
+
+
+def _random_trees(rng, count, guarded=True):
+    """Random trees, each followed by one of its derivatives, in which
+    the chain rule makes subtrees recur as the same objects."""
+    for _ in range(count):
+        e = _random_expr(rng, depth=5, guarded=guarded)
+        yield e
+        yield differentiate(e, ("t", "s", "u")[rng.integers(0, 3)])
+
+
+def test_backends_agree_bit_for_bit_on_random_trees():
+    # One generator writes both backends: handed numpy's functions, the
+    # scalar code computes every point exactly as the array code computes
+    # the batch.  With math's functions it agrees to rounding only, since
+    # numpy's exp, log, atan and pow differ from math's in the last bit
+    # on some inputs.
+    numpy_scalar = expr_module._SCALAR._replace(namespace=expr_module._ARRAY.namespace)
+    rng = np.random.default_rng(31337)
+    compared = 0
+    for tree in _random_trees(rng, 150):
+        points = rng.uniform(0.3, 2.0, size=(3, 6))
+        with np.errstate(all="ignore"):
+            try:
+                batch = np.broadcast_to(tree.array(*points), (6,))
+            except EvalDomainError:
+                continue
+            single = expr_module._generate(tree, numpy_scalar)
+            values = np.array([single(*map(float, point)) for point in points.T])
+        assert values.tobytes() == np.ascontiguousarray(batch).tobytes()
+        scalar = np.array([tree.scalar(*map(float, point)) for point in points.T])
+        assert np.allclose(scalar, batch, rtol=1e-12, atol=1e-12)
+        compared += 1
+    assert compared > 250
+
+
+_MESSAGES = {
+    "division by zero",
+    "log of a non-positive value",
+    "sqrt of a negative value",
+    "zero base with a negative exponent",
+    "negative base with a non-integer exponent",
+    "overflow",
+} | {f"non-finite binding for '{name}'" for name in ("t", "s", "u")}
+
+
+def test_domain_errors_agree_between_backends_on_random_trees():
+    rng = np.random.default_rng(4242)
+    values = (0.0, -1.0, 0.5, 2.0, 800.0, math.inf)
+    raised = set()
+    for tree in _random_trees(rng, 300, guarded=False):
+        point = dict(zip("tsu", (values[i] for i in rng.integers(0, len(values), size=3))))
+        errors = []
+        for bindings in (point, {name: np.array([v]) for name, v in point.items()}):
+            try:
+                evaluate(tree, bindings)
+                errors.append(None)
+            except EvalDomainError as exc:
+                errors.append(exc)
+        scalar, array = errors
+        assert (scalar is None) == (array is None), to_text(tree)
+        if scalar is not None:
+            assert scalar.node is array.node and scalar.message == array.message
+            raised.add(scalar.message)
+    assert raised == _MESSAGES
+
+
+_EXPRESSION_TEXTS = st.recursive(
+    st.sampled_from(["t", "s", "u", "pi", "e", "2", ".5", "1e3", "1e-400", "0"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda x: f"({x[0]}{x[1]}{x[2]})"),
+        st.tuples(st.sampled_from(["exp", "log", "sqrt", "abs", "sin", "cos", "atan", "-"]), inner)
+        .map(lambda x: f"{x[0]}({x[1]})"),
+        st.tuples(inner, st.sampled_from(["2", "-1", "0.5", "(1+1)", "-(0.5)"])).map("^".join),
+    ),
+    max_leaves=30,
+)
+_SOURCE_NAMES = {"def", "evaluator", "t", "s", "u", "if", "not", "raise", "try", "except", "from",
+                 "None", "return", "error", "math_errors", "all"}
+
+
+@given(st.one_of(st.text(), _EXPRESSION_TEXTS))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_generated_source_names_only_its_own_identifiers(text):
+    try:
+        tree = parse(text)
+    except ExprSyntaxError:
+        return
+    for backend in (expr_module._SCALAR, expr_module._ARRAY):
+        source, namespace = expr_module._source(tree, backend)
+        bound = set(namespace) - set(backend.namespace) - {"error", "math_errors"}
+        assert all(re.fullmatch(r"[cn]\d+", name) for name in bound)
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME:
+                assert (token.string in _SOURCE_NAMES or token.string in namespace
+                        or re.fullmatch(r"v\d+", token.string)), token.string
+            elif token.type == tokenize.STRING:
+                assert ast.literal_eval(token.string) in _MESSAGES
+            elif token.type == tokenize.NUMBER:
+                assert token.string == "0.0"
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from volterrabound import (
     write_trajectory_csv,
 )
 from volterrabound import solver
-from volterrabound.expr import evaluate
+from volterrabound.expr import Expr
 
 
 
@@ -115,6 +115,23 @@ def test_determinism(quadratic_spec):
     assert t1.status == t2.status
 
 
+def test_golden_values_pin_every_operation(atan_spec):
+    # Exact values, so that reordering one floating-point operation in
+    # the evaluators or the stepping cannot pass unseen.
+    traj = solve(atan_spec, Grid(t_end=12.0, h=1e-3))
+    assert [float(traj.values[n]) for n in (1000, 6000, 12000)] == [
+        0.5260490368466382,
+        0.003781508520807322,
+        9.37345127299089e-06,
+    ]
+    # u = 1 + int u^2.5 blows up at t* = 2/3; steps of t*/1000.
+    t_star = 1.0 / 1.5
+    spec = build_problem("1.0", "u^2.5", ExponentialDecayData(1, 0, 1, 0, 0, 0, 1.25))
+    assert solve(spec, Grid(t_end=2.0 * t_star, h=t_star / 1000)).status == BlowUp(
+        t_star=0.6663980366771215
+    )
+
+
 def test_monotone_comparison_in_forcing():
     # a_u >= 0 makes the scheme monotone in the forcing.
     kernel = (math.pi / 2, 2.0, math.pi / 2, 1.0, 0.5)
@@ -168,20 +185,36 @@ def test_odd_power_blow_up_not_continued_on_a_spurious_root():
     assert np.all(traj.values > 0.0)
 
 
+def _count_evaluations(monkeypatch):
+    """Count calls of every tree's generated evaluators, by kind, from
+    here to the end of the test: ``Expr.scalar`` and ``Expr.array`` hand
+    out counting wrappers of the cached functions.  Each array call is a
+    sum over the whole history."""
+    calls = {"array": 0, "scalar": 0}
+    for kind in calls:
+        cached = getattr(Expr, kind)
+
+        def counted(e, kind=kind, cached=cached):
+            fn = cached.__get__(e, type(e))
+
+            def call(*args):
+                calls[kind] += 1
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(Expr, kind, property(counted))
+    return calls
+
+
 def test_flat_step_without_root_fails_at_once(quadratic_spec, monkeypatch):
     # u = 1 + 0.5*u^2 has no real root, and at u = 1 its slope 1 - u is
     # zero: the attempt fails after one residual and one slope, leaving
     # the step to the caller's halving, with no |u| growth reported.
-    calls = []
-
-    def counting(e, bindings):
-        calls.append(e)
-        return evaluate(e, bindings)
-
-    monkeypatch.setattr(solver, "evaluate", counting)
+    calls = _count_evaluations(monkeypatch)
     res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 1.0)
     assert not res.converged
-    assert len(calls) <= 2
+    assert calls["scalar"] <= 2 and calls["array"] == 0
     assert res.max_abs == 1.0
 
 
@@ -217,28 +250,11 @@ def test_split_lag_matches_direct_quadrature(f_text, a_text, t_end):
     assert np.max(rel) <= 1e-13
 
 
-def _count_array_evaluations(monkeypatch):
-    """Count the solver's evaluations with an array binding: each one is
-    a sum over the whole history."""
-    import volterrabound.solver as solver_module
-
-    calls = {"array": 0, "scalar": 0}
-    original = solver_module.evaluate
-
-    def counting(e, bindings):
-        kind = "array" if any(isinstance(v, np.ndarray) for v in bindings.values()) else "scalar"
-        calls[kind] += 1
-        return original(e, bindings)
-
-    monkeypatch.setattr(solver_module, "evaluate", counting)
-    return calls
-
-
 def test_split_lag_falls_back_where_a_factor_overflows(monkeypatch):
     # exp(s-t) splits into exp(-t) * exp(s), and exp(s) overflows past
     # s ~ 709.8 where the kernel itself stays below 1.  The running sums
     # serve the nodes before that, the direct quadrature the 90 after.
-    calls = _count_array_evaluations(monkeypatch)
+    calls = _count_evaluations(monkeypatch)
     split, direct = _split_and_direct("1", "exp(s-t)*atan(u)", Grid(t_end=800.0, h=1.0))
     assert calls["array"] == 800 + 90
     assert split.status == direct.status == Completed()
@@ -258,7 +274,7 @@ def test_non_separable_kernel_matches_picard():
 def test_separable_kernel_never_evaluates_over_the_history(monkeypatch, atan_spec):
     # A silent fallback to the direct quadrature would pass every other
     # test, at O(N^2) cost.
-    calls = _count_array_evaluations(monkeypatch)
+    calls = _count_evaluations(monkeypatch)
     traj = solve(atan_spec, Grid(t_end=2.0, h=1e-3))
     assert len(traj.values) == 2001
     assert calls["array"] == 0 and calls["scalar"] > 2000
