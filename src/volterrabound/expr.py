@@ -80,7 +80,7 @@ class EvalDomainError(ExprError):
         self.message = message
 
     def __str__(self) -> str:
-        # Rendered on demand: the solver catches and discards most of these.
+        # Rendered on demand: a caller that catches one rarely prints it.
         return f"{self.message} in {to_text(self.node)}"
 
 
@@ -113,6 +113,14 @@ class Expr:
         it.  A position the tree does not read may hold anything; pass
         None there.  Generated on first use and kept on the node."""
         return _generate(self, _SCALAR)
+
+    @cached_property
+    def quiet(self) -> Callable:
+        """The same as :attr:`scalar`, except that where ``scalar``
+        raises :class:`EvalDomainError` it returns NaN: the same checks
+        run in the same order, and the first that fails ends the call.
+        For callers that treat a domain failure as a value to test."""
+        return _generate(self, _QUIET)
 
     @cached_property
     def array(self) -> Callable:
@@ -383,24 +391,30 @@ def _read(value: Binding):
 
 class _Backend(NamedTuple):
     """How one kind of value is computed and checked, for the generated
-    source: the names it may call, and the source of its two tests."""
+    source: the names it may call, the source of its two tests, and
+    what a failed test does."""
 
-    namespace: Mapping[str, object]  # every unary op but neg, "pow", and what the tests call
+    namespace: Mapping[str, object]  # every unary op but neg, "pow", and what the source calls
     anywhere: str  # does the elementwise test {} hold anywhere
     nonfinite: str  # is some element of {} not finite
+    fail: str  # the statement a failed test runs, given the {node} name and the {message}
 
 
+_RAISE = "raise error({node}, {message}) from None"
 _SCALAR = _Backend(
     {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos, "atan": math.atan,
      "sqrt": math.sqrt, "abs": abs, "pow": math.pow},
     "{}",
     "{0} - {0} != 0.0",  # x - x is 0.0 for every finite float and NaN otherwise
+    _RAISE,
 )
+_QUIET = _SCALAR._replace(namespace={**_SCALAR.namespace, "nan": math.nan}, fail="return nan")
 _ARRAY = _Backend(
     {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos, "atan": np.arctan,
      "sqrt": np.sqrt, "abs": np.abs, "pow": np.power, "any": np.any, "isfinite": np.isfinite},
     "any({})",
     "not isfinite({}).all()",
+    _RAISE,
 )
 
 # Ops whose result is checked for overflow, with the domain rules checked
@@ -456,13 +470,13 @@ def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
         namespace[name] = value
         return name
 
-    def raising(node: Expr, message: str) -> str:
+    def fail(node: Expr, message: str) -> str:
         if id(node) not in refs:
             refs[id(node)] = bind("n", node)
-        return f"raise error({refs[id(node)]}, {message!r})"
+        return k.fail.format(node=refs[id(node)], message=repr(message))
 
     def check(node: Expr, test: str, message: str) -> None:
-        lines.extend((f"    if {test}:", f"        {raising(node, message)}"))
+        lines.extend((f"    if {test}:", f"        {fail(node, message)}"))
 
     def emit(node: Expr) -> str:
         if isinstance(node, Constant):
@@ -498,7 +512,7 @@ def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
                 check(node, k.anywhere.format(f"{operands[0]} {comparison} 0.0"), message)
             # math raises where numpy returns inf
             lines.extend(("    try:", f"        {value} = {call}", "    except math_errors:",
-                          f"        {raising(node, 'overflow')} from None"))
+                          f"        {fail(node, 'overflow')}"))
         check(node, k.nonfinite.format(value), "overflow")
         return value
 

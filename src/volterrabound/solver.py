@@ -17,9 +17,9 @@ sum of psi_k per term, so N nodes cost O(N) kernel evaluations.  Other
 kernels, and separable ones after a factor has left its domain or
 overflowed, are summed over every stored node at every attempt: O(N^2).
 The scalar work (f, Newton's residual and slope, the running sums) calls
-each tree's generated ``Expr.scalar`` function with positional floats,
-one Python frame per evaluation; only the sum over the history goes
-through ``evaluate``, once per attempt, with numpy arrays.
+each tree's generated ``Expr.quiet`` function with positional floats,
+one Python frame per evaluation, a domain failure being NaN; only the
+sum over the history goes through ``evaluate``, once per attempt.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ class _LagSums:
     __slots__ = ("outer", "inner", "closed", "last")
 
     def __init__(self, terms, s0: float, u0: float):
-        self.outer = [outer.scalar for outer, _ in terms]
-        self.inner = [inner.scalar for _, inner in terms]
+        self.outer = [outer.quiet for outer, _ in terms]
+        self.inner = [inner.quiet for _, inner in terms]
         self.closed = [0.0] * len(terms)
         self.last = self._inner_values(s0, u0)
 
@@ -164,9 +164,10 @@ class _History:
     """Append-only (t, u) store backed by amortized-growth arrays, so
     the per-step quadrature reads contiguous views instead of converting
     Python lists every attempt.  For a separable kernel it also keeps
-    the running lag sums, until they fail once (a factor leaving its
-    domain or overflowing where the kernel does not); from then on the
-    quadrature runs over the stored nodes."""
+    the running lag sums, until their lag is not finite once (a factor
+    leaving its domain, NaN, or overflowing where the kernel does not);
+    from then on the quadrature runs over the stored nodes.  A NaN in
+    the sums stays until ``split_lag`` drops them, before any push."""
 
     __slots__ = ("t", "u", "n", "last_t", "last_u", "sums")
 
@@ -177,12 +178,7 @@ class _History:
         self.u[0] = self.last_u = u0
         self.n = 1
         terms = separate(kernel, "t")
-        self.sums = None
-        if terms is not None:
-            try:
-                self.sums = _LagSums(terms, t0, u0)
-            except EvalDomainError:
-                pass
+        self.sums = None if terms is None else _LagSums(terms, t0, u0)
 
     def push(self, t: float, u: float) -> None:
         half_step = 0.5 * (t - self.last_t)
@@ -193,19 +189,13 @@ class _History:
         self.u[self.n] = self.last_u = u
         self.n += 1
         if self.sums is not None:
-            try:
-                self.sums.close_segment(half_step, t, u)
-            except EvalDomainError:
-                self.sums = None
+            self.sums.close_segment(half_step, t, u)
 
     def split_lag(self, t: float, half_step: float) -> float | None:
         """The lag from the running sums, or None once they are unusable."""
         if self.sums is None:
             return None
-        try:
-            lag = self.sums.lag(t, half_step)
-        except EvalDomainError:
-            lag = math.nan
+        lag = self.sums.lag(t, half_step)
         if not math.isfinite(lag):
             self.sums = None
             return None
@@ -283,19 +273,21 @@ def _advance_to(spec, hist, target):
 def _attempt_step(spec, hist, t_new) -> _SolveResult:
     """One implicit solve at t_new over the current history.
 
-    Any domain excursion during the attempt counts as a failed attempt
-    (the halving machinery decides what it means); it is never raised.
+    A domain failure (NaN from f, or a raise from the direct
+    quadrature) fails the attempt, for the halving machinery to judge.
+    f goes first: ``split_lag`` may drop the running sums.
     """
     half_step = 0.5 * (t_new - hist.last_t)
-    try:
-        fval = spec.f.scalar(t_new, None, None)
-        lag = hist.split_lag(t_new, half_step)
-        if lag is None:
-            lag = _direct_lag(spec, hist, t_new)
-        rhs = fval + lag
-    except EvalDomainError:
+    fval = spec.f.quiet(t_new, None, None)
+    if math.isnan(fval):
         return _SolveResult(False, 0.0, 0.0)
-    return _implicit_scalar(spec, t_new, rhs, half_step, hist.last_u)
+    lag = hist.split_lag(t_new, half_step)
+    if lag is None:
+        try:
+            lag = _direct_lag(spec, hist, t_new)
+        except EvalDomainError:
+            return _SolveResult(False, 0.0, 0.0)
+    return _implicit_scalar(spec, t_new, fval + lag, half_step, hist.last_u)
 
 
 def _direct_lag(spec, hist, t_new) -> float:
@@ -319,12 +311,13 @@ def _direct_lag(spec, hist, t_new) -> float:
 def _implicit_scalar(spec, t, rhs, weight, u_start) -> _SolveResult:
     """Solve u = rhs + weight * a(t, t, u) by damped Newton from u_start.
 
-    Newton stops without a root where the slope is flat or non-finite,
-    where 30 halvings of its step find no decrease of the residual, or
-    when its iterations run out.  The attempt then fails with the largest
+    Newton stops without a root where the start residual is NaN, the
+    slope is flat or not finite (a NaN from a or a_u is a domain
+    failure), 30 halvings of its step find no decrease of the residual,
+    or its iterations run out.  The attempt then fails with the largest
     |u| reached so far, and the caller halves the step.
     """
-    a, a_u = spec.a.scalar, spec.a_u.scalar
+    a, a_u = spec.a.quiet, spec.a_u.quiet
 
     def residual(u: float) -> float:
         return u - rhs - weight * a(t, t, u)
@@ -334,28 +327,21 @@ def _implicit_scalar(spec, t, rhs, weight, u_start) -> _SolveResult:
 
     max_abs = abs(u_start)
     u = u_start
-    try:
-        fu = residual(u)
-    except EvalDomainError:
+    fu = residual(u)
+    if math.isnan(fu):
         return _SolveResult(False, u, max_abs)
 
     d = None  # slope at the Newton iterate the current u was reached from
     for _ in range(_NEWTON_ITERATIONS):
         if abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
             return _on_branch(u, d, slope, max_abs)
-        try:
-            d = slope(u)
-        except EvalDomainError:
-            return _SolveResult(False, u, max_abs)
+        d = slope(u)
         if not math.isfinite(d) or abs(d) < _DERIVATIVE_FLOOR:
             return _SolveResult(False, u, max_abs)
         step = fu / d
         for _ in range(30):
             trial = u - step
-            try:
-                ft = residual(trial)
-            except EvalDomainError:
-                ft = math.nan
+            ft = residual(trial)
             max_abs = max(max_abs, abs(trial))
             if math.isfinite(ft) and abs(ft) < abs(fu):
                 u, fu = trial, ft
@@ -375,12 +361,10 @@ def _on_branch(u, d, slope, max_abs) -> _SolveResult:
     odd power always has, the attempt fails with |u| as blow-up
     evidence.  ``d`` is the slope Newton computed at the iterate u was
     reached from; it stands in for the slope at u.  It is None only when
-    the start already converged, and the slope is then evaluated at u."""
+    the start already converged, and the slope is then evaluated at u;
+    NaN fails the test."""
     if d is None:
-        try:
-            d = slope(u)
-        except EvalDomainError:
-            d = math.nan
+        d = slope(u)
     if d > 0.0:
         return _SolveResult(True, u, max_abs)
     return _SolveResult(False, u, max(max_abs, abs(u)))
@@ -432,19 +416,21 @@ def picard_reference(spec: ProblemSpec, grid: Grid, iterations: int = 50) -> Tra
 # ---------------------------------------------------------------------------
 
 
-def _status_token(status: Status) -> str:
+def _status_fields(status: Status) -> dict:
+    """The status as ``report.json`` stores it, and the CSV renders it."""
     if isinstance(status, Completed):
-        return "completed"
+        return {"kind": "completed"}
     if isinstance(status, BlowUp):
-        return f"blowup t_star={status.t_star:.17g}"
-    return f"step_failure t={status.t:.17g} reason={status.reason}"
+        return {"kind": "blowup", "t_star": status.t_star}
+    return {"kind": "step_failure", "t": status.t, "reason": status.reason}
 
 
 def write_trajectory_csv(traj: Trajectory, path: Union[str, Path]) -> None:
     """Write ``t,u`` rows with 17 significant digits (binary64 round
     trip) and a trailing ``# status=...`` comment line."""
-    lines = ["t,u"]
-    for tk, uk in zip(traj.times(), traj.values):
-        lines.append(f"{tk:.17g},{uk:.17g}")
-    lines.append(f"# status={_status_token(traj.status)}")
+    fields = _status_fields(traj.status)
+    status = " ".join([fields.pop("kind")] + [f"{k}={v}" if isinstance(v, str) else f"{k}={v:.17g}"
+                                              for k, v in fields.items()])
+    rows = zip(map(float, traj.times()), map(float, traj.values))  # as in cli._write_bound_csv
+    lines = ["t,u"] + ["%.17g,%.17g" % row for row in rows] + [f"# status={status}"]
     write_text_atomic(Path(path), "\n".join(lines) + "\n")

@@ -132,6 +132,25 @@ def test_golden_values_pin_every_operation(atan_spec):
     )
 
 
+def test_failed_trials_raise_no_domain_error(monkeypatch):
+    # Past the fold of u = 1 + int u^2.5 Newton's trials reach u < 0,
+    # where u^2.5 has no real value.  The stepping reads that as NaN
+    # from the quiet evaluator, so not one EvalDomainError is built.
+    built = []
+    init = EvalDomainError.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(EvalDomainError, "__init__", counting_init)
+    t_star = 1.0 / 1.5
+    spec = build_problem("1.0", "u^2.5", ExponentialDecayData(1, 0, 1, 0, 0, 0, 1.25))
+    traj = solve(spec, Grid(t_end=2.0 * t_star, h=t_star / 1000))
+    assert isinstance(traj.status, BlowUp)
+    assert built == []
+
+
 def test_monotone_comparison_in_forcing():
     # a_u >= 0 makes the scheme monotone in the forcing.
     kernel = (math.pi / 2, 2.0, math.pi / 2, 1.0, 0.5)
@@ -187,12 +206,13 @@ def test_odd_power_blow_up_not_continued_on_a_spurious_root():
 
 def _count_evaluations(monkeypatch):
     """Count calls of every tree's generated evaluators, by kind, from
-    here to the end of the test: ``Expr.scalar`` and ``Expr.array`` hand
-    out counting wrappers of the cached functions.  Each array call is a
-    sum over the whole history."""
+    here to the end of the test: ``Expr.scalar``, ``Expr.quiet`` and
+    ``Expr.array`` hand out counting wrappers of the cached functions,
+    and the two scalar evaluators count as "scalar".  Each array call is
+    a sum over the whole history."""
     calls = {"array": 0, "scalar": 0}
-    for kind in calls:
-        cached = getattr(Expr, kind)
+    for attribute, kind in (("array", "array"), ("scalar", "scalar"), ("quiet", "scalar")):
+        cached = getattr(Expr, attribute)
 
         def counted(e, kind=kind, cached=cached):
             fn = cached.__get__(e, type(e))
@@ -203,7 +223,7 @@ def _count_evaluations(monkeypatch):
 
             return call
 
-        monkeypatch.setattr(Expr, kind, property(counted))
+        monkeypatch.setattr(Expr, attribute, property(counted))
     return calls
 
 
