@@ -83,6 +83,10 @@ def _write_json(path: Path, payload: dict) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _certificate_payload(report: ValidationReport, cert: Certificate) -> dict:
+    return {"validation": report.as_dict(), "certificate": cert.to_dict()}
+
+
 def _certify_pipeline(
     spec: ProblemSpec, t_max: float, u_max: float
 ) -> tuple[ValidationReport, Certificate, InequalityData]:
@@ -116,7 +120,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     report, cert, _ = _certify_pipeline(spec, args.t_max, args.u_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "certificate.json", {"validation": report.as_dict(), "certificate": cert.to_dict()})
+    _write_json(out / "certificate.json", _certificate_payload(report, cert))
     if cert.certified and report.passed:
         print(f"certified: |u(t)| <= {cert.to_dict()['bound']}")
         return _EXIT_OK
@@ -137,19 +141,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
 
-    payload: dict = {
-        "solver": {"status": _status_fields(traj.status)},
-        "validation": report.as_dict(),
-        "certificate": cert.to_dict(),
-    }
-
+    payload = _certificate_payload(report, cert)
+    payload["solver"] = {"status": _status_fields(traj.status)}
+    majorant = None
     if isinstance(traj.status, StepFailure):
-        _write_json(out / "report.json", payload)
-        print(f"step failure at t={traj.status.t:.6g}: {traj.status.reason}", file=sys.stderr)
-        return _EXIT_ERROR
-
-    if not (cert.certified and report.passed):
-        _write_json(out / "report.json", payload)
+        code, stream = _EXIT_ERROR, sys.stderr
+        message = f"step failure at t={traj.status.t:.6g}: {traj.status.reason}"
+    elif not (cert.certified and report.passed):
+        code, stream = _EXIT_REFUSED, sys.stdout
         reasons = []
         if not cert.certified:
             reasons.append(f"no certificate ({cert.verdict.reason})")
@@ -158,34 +157,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
         message = "; ".join(reasons)
         if isinstance(traj.status, BlowUp):
             message += f"; solution blows up near t={traj.status.t_star:.2f}"
-        print(message)
-        return _EXIT_REFUSED
-
-    if isinstance(traj.status, BlowUp):
+    elif isinstance(traj.status, BlowUp):
         # A certified problem must not blow up; report the contradiction.
-        _write_json(out / "report.json", payload)
-        print(
+        code, stream = _EXIT_REFUSED, sys.stderr
+        message = (
             f"certificate issued but the solver reports blow-up near "
-            f"t={traj.status.t_star:.2f}; check the envelope constants",
-            file=sys.stderr,
+            f"t={traj.status.t_star:.2f}; check the envelope constants"
         )
-        return _EXIT_REFUSED
+    else:
+        bound_report = verify_solution_bound(traj, cert)
+        majorant = propagate_majorant(data, grid)
+        payload["bound_check"] = bound_report.as_dict()
+        payload["majorant_status"] = _status_fields(majorant.status)
+        stream = sys.stdout
+        if bound_report.holds:
+            code = _EXIT_OK
+            message = f"bound holds at every node (min slack {bound_report.min_slack:.6g})"
+        else:
+            code = _EXIT_REFUSED
+            message = (
+                f"bound violated at t={bound_report.worst_t:.6g}: "
+                f"|u| = {abs(bound_report.worst_u):.6g} vs bound {bound_report.worst_bound:.6g}"
+            )
 
-    bound_report = verify_solution_bound(traj, cert)
-    majorant = propagate_majorant(data, grid)
-    payload["bound_check"] = bound_report.as_dict()
-    payload["majorant_status"] = _status_fields(majorant.status)
     _write_json(out / "report.json", payload)
-    _write_bound_csv(out / "bound.csv", traj, majorant.values, cert)
-
-    if bound_report.holds:
-        print(f"bound holds at every node (min slack {bound_report.min_slack:.6g})")
-        return _EXIT_OK
-    print(
-        f"bound violated at t={bound_report.worst_t:.6g}: "
-        f"|u| = {abs(bound_report.worst_u):.6g} vs bound {bound_report.worst_bound:.6g}"
-    )
-    return _EXIT_REFUSED
+    if majorant is not None:
+        _write_bound_csv(out / "bound.csv", traj, majorant.values, cert)
+    print(message, file=stream)
+    return code
 
 
 def _write_bound_csv(path: Path, traj: Trajectory, majorant: np.ndarray, cert: Certificate) -> None:
@@ -216,7 +215,7 @@ def cmd_demo_blowup(args: argparse.Namespace) -> int:
         print(f"solver: blow-up detected near t={traj.status.t_star:.2f}")
 
     report, cert, _ = _certify_pipeline(spec, t_max=50.0, u_max=10.0)
-    _write_json(out / "certificate.json", {"validation": report.as_dict(), "certificate": cert.to_dict()})
+    _write_json(out / "certificate.json", _certificate_payload(report, cert))
     if not cert.certified:
         print(f"certificate search: refused ({cert.verdict.reason})")
     failed = [c.name for c in report.checks if not c.passed]

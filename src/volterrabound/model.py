@@ -249,19 +249,19 @@ def _json_float(x: Optional[float]):
     return x if math.isfinite(x) else repr(x)
 
 
-def _failed_check(name: str, exc: EvalDomainError) -> HypothesisCheck:
-    return HypothesisCheck(name=name, margin=float("-inf"), point={"error": str(exc)})
-
-
 def validate_decay(spec: ProblemSpec, t_max: float, u_max: float) -> ValidationReport:
     """Sample the decay hypotheses on a deterministic grid.
 
     t runs over 201 uniform samples on [0, t_max]; u over 41 on
-    [-u_max, u_max] where a state enters.  The kernel-variation integral
-    is taken along the worst constant state profiles u(s) = +u_max and
-    u(s) = -u_max (the true profile is unknown at validation time) using
-    composite Simpson on 200 panels.  Identical inputs produce
-    bit-identical reports.
+    [-u_max, u_max] where a state enters, and s over 51 on [0, t] for
+    a_u.  The kernel-variation integral is taken along the worst
+    constant state profiles u(s) = +u_max and u(s) = -u_max (the true
+    profile is unknown at validation time) using composite Simpson on
+    200 panels.  Each hypothesis gives one margin per sample, and its
+    check reports the smallest at the first sample that attains it, in
+    t-major order; a NaN margin (inf - inf) is skipped.  A domain error
+    fails its hypothesis with margin -inf and the error text as its
+    point.  Identical inputs produce bit-identical reports.
     """
     if not (t_max > 0.0 and u_max > 0.0):
         raise ValueError("t_max and u_max must be > 0")
@@ -277,90 +277,82 @@ def validate_decay(spec: ProblemSpec, t_max: float, u_max: float) -> ValidationR
             f"p = {env.p!r} is too large: u_max**(2p) overflows for u_max = {u_max!r}"
         ) from None
 
-    checks = [
-        _check_forcing_decay(spec, env, ts),
-        _check_kernel_diagonal(spec, env, ts, us, two_p),
-        _check_kernel_variation(spec, env, ts, u_max, growth),
-        _check_kernel_monotone(spec, ts, us),
-    ]
+    hypotheses = {
+        "forcing-decay": lambda: _forcing_decay(spec, env, ts),
+        "kernel-diagonal": lambda: _kernel_diagonal(spec, env, ts, us, two_p),
+        "kernel-variation": lambda: _kernel_variation(spec, env, ts, u_max, growth),
+        "kernel-monotone": lambda: _kernel_monotone(spec, ts, us),
+    }
+    checks = []
+    # An infinite envelope bounds anything; one against an infinite
+    # integral leaves a NaN margin, which _worst skips.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, margins_and_point in hypotheses.items():
+            try:
+                checks.append(_worst(name, *margins_and_point()))
+            except EvalDomainError as exc:
+                checks.append(HypothesisCheck(name, -math.inf, {"error": str(exc)}))
     return ValidationReport(checks=tuple(checks))
 
 
-def _check_forcing_decay(spec, env, ts) -> HypothesisCheck:
-    name = "forcing-decay"
-    try:
-        fv = np.abs(np.asarray(evaluate(spec.f, {"t": ts}))) + np.abs(
-            np.asarray(evaluate(spec.f_prime, {"t": ts}))
-        )
-    except EvalDomainError as exc:
-        return _failed_check(name, exc)
-    bound = env.c0 * np.exp(-env.b0 * ts)
-    margins = np.broadcast_to(bound - fv, ts.shape)
-    k = int(np.argmin(margins))
-    m = float(margins[k])
-    return HypothesisCheck(name, m, {"t": float(ts[k])})
+def _worst(name: str, margins: np.ndarray, point: dict) -> HypothesisCheck:
+    """The check at the first smallest margin in C (t-major) order, NaN
+    read as +inf; ``point`` maps each coordinate name to an array that
+    broadcasts against ``margins``."""
+    margins = np.where(np.isnan(margins), math.inf, margins)
+    k = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    at = {key: float(np.broadcast_to(axis, margins.shape)[k]) for key, axis in point.items()}
+    return HypothesisCheck(name, float(margins[k]), at)
 
 
-def _check_kernel_diagonal(spec, env, ts, us, two_p) -> HypothesisCheck:
-    name = "kernel-diagonal"
-    tt = ts[:, None]
-    uu = us[None, :]
-    try:
-        av = np.abs(np.asarray(evaluate(spec.a, {"t": tt, "s": tt, "u": uu})))
-    except EvalDomainError as exc:
-        return _failed_check(name, exc)
-    with np.errstate(over="ignore"):  # an infinite envelope bounds anything
-        bound = env.c1 * np.exp(-env.b1 * tt) * (1.0 + np.abs(uu) ** two_p)
-    margins = np.broadcast_to(bound - av, (len(ts), len(us)))
-    i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
-    m = float(margins[i, j])
-    return HypothesisCheck(name, m, {"t": float(ts[i]), "u": float(us[j])})
+def _forcing_decay(spec, env, ts):
+    fv = np.abs(evaluate(spec.f, {"t": ts})) + np.abs(evaluate(spec.f_prime, {"t": ts}))
+    return env.c0 * np.exp(-env.b0 * ts) - fv, {"t": ts}
 
 
-def _check_kernel_variation(spec, env, ts, u_max, growth) -> HypothesisCheck:
-    name = "kernel-variation"
+def _kernel_diagonal(spec, env, ts, us, two_p):
+    tt, uu = ts[:, None], us[None, :]
+    av = np.abs(evaluate(spec.a, {"t": tt, "s": tt, "u": uu}))
+    bound = env.c1 * np.exp(-env.b1 * tt) * (1.0 + np.abs(uu) ** two_p)
+    return bound - av, {"t": tt, "u": uu}
+
+
+def _kernel_variation(spec, env, ts, u_max, growth):
+    """One evaluation of a_t per profile, on stacked s-rows that each come
+    from their own np.linspace(0, t): one linspace over the t column
+    rounds differently.  The envelope takes math.exp per t, which numpy's
+    exp does not match in the last bit on every input."""
     w = np.ones(_SIMPSON_PANELS + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    worst = (math.inf, 0.0, u_max)
-    try:
-        for t in ts:
-            s_nodes = np.linspace(0.0, float(t), _SIMPSON_PANELS + 1)
-            scale = (float(t) / _SIMPSON_PANELS) / 3.0
-            for profile in (u_max, -u_max):
-                vals = np.abs(
-                    np.asarray(evaluate(spec.a_t, {"t": float(t), "s": s_nodes, "u": profile}))
-                )
-                integral = scale * float(np.sum(w * vals))
-                margin = env.c2 * math.exp(-env.b * float(t)) * growth - integral
-                if margin < worst[0]:
-                    worst = (margin, float(t), profile)
-    except EvalDomainError as exc:
-        return _failed_check(name, exc)
-    m = float(worst[0])
-    return HypothesisCheck(name, m, {"t": worst[1], "profile": worst[2]})
+    tt = ts[:, None]
+    s_rows = np.array([np.linspace(0.0, t, _SIMPSON_PANELS + 1) for t in ts.tolist()])
+    scale = ts / _SIMPSON_PANELS / 3.0
+    profiles = np.array([u_max, -u_max])
+    integrals = np.column_stack([
+        scale * np.sum(w * np.abs(evaluate(spec.a_t, {"t": tt, "s": s_rows, "u": u})), axis=-1)
+        for u in profiles.tolist()
+    ])
+    envelope = np.array([env.c2 * math.exp(-env.b * t) * growth for t in ts.tolist()])
+    return envelope[:, None] - integrals, {"t": tt, "profile": profiles}
 
 
-def _check_kernel_monotone(spec, ts, us) -> HypothesisCheck:
-    name = "kernel-monotone"
-    worst = (math.inf, 0.0, 0.0, 0.0)
-    uu = us[None, :]
-    try:
-        for t in ts:
-            s_nodes = np.linspace(0.0, float(t), _MONOTONE_S_SAMPLES)[:, None]
-            vals = np.broadcast_to(
-                np.asarray(evaluate(spec.a_u, {"t": float(t), "s": s_nodes, "u": uu})),
-                (_MONOTONE_S_SAMPLES, len(us)),
-            )
-            i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            m = float(vals[i, j])
-            if m < worst[0]:
-                worst = (m, float(t), float(s_nodes[i, 0]), float(us[j]))
-    except EvalDomainError as exc:
-        return _failed_check(name, exc)
-    # The verdict is exactly the sign of the minimum sampled a_u.
-    m = float(worst[0])
-    return HypothesisCheck(name, m, {"t": worst[1], "s": worst[2], "u": worst[3]})
+def _kernel_monotone(spec, ts, us):
+    """The smallest sampled a_u at each t is its margin: the verdict is
+    exactly the sign of the minimum.  One evaluation per t, because on
+    the stacked (201, 51, 41) grid every intermediate array of the
+    evaluator would take 3.4 MB."""
+    per_t = []
+    for t in ts.tolist():
+        s_nodes = np.linspace(0.0, t, _MONOTONE_S_SAMPLES)
+        vals = np.broadcast_to(
+            evaluate(spec.a_u, {"t": t, "s": s_nodes[:, None], "u": us[None, :]}),
+            (_MONOTONE_S_SAMPLES, len(us)),
+        )
+        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        per_t.append((vals[i, j], s_nodes[i], us[j]))
+    minima, s_at, u_at = np.array(per_t).T
+    return minima, {"t": ts, "s": s_at, "u": u_at}
 
 
 # ---------------------------------------------------------------------------

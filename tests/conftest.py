@@ -10,6 +10,7 @@ from volterrabound import (
     build_problem,
     problem_from_dict,
 )
+from volterrabound.expr import Expr
 
 HALF_PI = math.pi / 2.0
 
@@ -112,3 +113,26 @@ def margin_direct(data, weight, t):
 def write_problem(path, problem: dict) -> str:
     path.write_text(json.dumps(problem))
     return str(path)
+
+
+def count_evaluations(monkeypatch):
+    """Count calls of every tree's generated evaluators, by kind, from
+    here to the end of the test: ``Expr.scalar``, ``Expr.quiet`` and
+    ``Expr.array`` hand out counting wrappers of the cached functions,
+    and the two scalar evaluators count as "scalar".  In the solver each
+    array call is a sum over the whole history."""
+    calls = {"array": 0, "scalar": 0}
+    for attribute, kind in (("array", "array"), ("scalar", "scalar"), ("quiet", "scalar")):
+        cached = getattr(Expr, attribute)
+
+        def counted(e, kind=kind, cached=cached):
+            fn = cached.__get__(e, type(e))
+
+            def call(*args):
+                calls[kind] += 1
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(Expr, attribute, property(counted))
+    return calls

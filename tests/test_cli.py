@@ -176,6 +176,25 @@ def _assert_one_line_error(capsys, code, prefix):
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
 
 
+def test_overflowing_kernel_variation_prints_no_warning(tmp_path, capsys):
+    # Every kernel-variation margin is inf - inf: the check reads +inf at
+    # the first sample, and numpy's overflow stays off stderr.
+    problem = write_problem(
+        tmp_path / "p.json",
+        {"f": "exp(-t)", "a": "1e307*t*u", "c0": 2, "b0": 1, "c1": 1, "b1": 0, "c2": 1e308, "b": 0, "p": 1},
+    )
+    out = tmp_path / "out"
+    assert run(["certify", "--problem", problem, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    checks = json.loads((out / "certificate.json").read_text())["validation"]["checks"]
+    assert checks[2] == {
+        "name": "kernel-variation",
+        "margin": "inf",
+        "point": {"t": 0.0, "profile": 10.0},
+        "passed": True,
+    }
+
+
 def test_deeply_nested_forcing_is_one_line_error(tmp_path, capsys):
     deep = dict(ATAN_PROBLEM, f="(" * 5000 + "1" + ")" * 5000)
     problem = write_problem(tmp_path / "p.json", deep)

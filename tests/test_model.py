@@ -17,7 +17,7 @@ from volterrabound import (
 )
 from volterrabound.expr import ExprSyntaxError
 
-from conftest import ATAN_PROBLEM, QUADRATIC_PROBLEM, write_problem
+from conftest import ATAN_PROBLEM, QUADRATIC_PROBLEM, count_evaluations, write_problem
 
 
 def test_build_problem_derives_all_partials(atan_spec):
@@ -156,6 +156,93 @@ def test_validation_argument_checks(atan_spec):
         validate_decay(atan_spec, t_max=0.0, u_max=1.0)
     with pytest.raises(ValueError):
         validate_decay(atan_spec, t_max=1.0, u_max=0.0)
+
+
+@pytest.mark.parametrize(
+    "problem, points",
+    [
+        (
+            ATAN_PROBLEM,
+            {
+                "forcing-decay": {"t": 0.0},
+                "kernel-diagonal": {"t": 50.0, "u": 0.0},
+                "kernel-variation": {"t": 50.0, "profile": 10.0},
+                "kernel-monotone": {"t": 50.0, "s": 50.0, "u": -10.0},
+            },
+        ),
+        (
+            # Every margin here ties along t, so each point is at t = 0.
+            QUADRATIC_PROBLEM,
+            {
+                "forcing-decay": {"t": 0.0},
+                "kernel-diagonal": {"t": 0.0, "u": -10.0},
+                "kernel-variation": {"t": 0.0, "profile": 10.0},
+                "kernel-monotone": {"t": 0.0, "s": 0.0, "u": -10.0},
+            },
+        ),
+    ],
+)
+def test_report_points(problem, points):
+    report = validate_decay(problem_from_dict(problem), t_max=50.0, u_max=10.0)
+    assert {c.name: c.point for c in report.checks} == points
+
+
+def test_first_minimum_in_t_major_order_wins_a_tie():
+    # a = t*u^2: the diagonal margin 0.5 - 3.5u^2 at t = 4 ties at
+    # u = -2 and u = 2, both profiles give the integral 4u^2, and
+    # a_u = 2tu ties over every s.  The first sample of each tie wins.
+    spec = build_problem("1", "t*u^2", ExponentialDecayData(1, 0, 0.5, 0, 0, 0, 1))
+    report = validate_decay(spec, t_max=4.0, u_max=2.0)
+    assert [(c.margin, c.point) for c in report.checks] == [
+        (0.0, {"t": 0.0}),
+        (-13.5, {"t": 4.0, "u": -2.0}),
+        (-16.0, {"t": 4.0, "profile": 2.0}),
+        (-16.0, {"t": 4.0, "s": 0.0, "u": -2.0}),
+    ]
+
+
+def test_domain_error_names_first_failing_node_over_the_grid():
+    # a_t = u/(2*sqrt(t - 2s)): the whole s-grid is evaluated at once, so
+    # the sqrt node fails (at s > t/2) before the division (at s = t/2).
+    spec = build_problem("1", "sqrt(t-2*s)*u", ExponentialDecayData(1, 0, 1, 0, 1, 0, 1))
+    check = validate_decay(spec, t_max=4.0, u_max=2.0).check("kernel-variation")
+    assert check.margin == -math.inf
+    assert check.point == {"error": "sqrt of a negative value in sqrt((t - (2.0 * s)))"}
+
+
+def kernel_variation_by_loop(spec, t_max, u_max):
+    """Reference: the kernel-variation margin one t and one profile at a
+    time, with Simpson on a per-t s-grid; the first strict minimum wins."""
+    w = np.ones(201)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    growth = 1.0 + u_max ** (2.0 * spec.envelope.p)
+    worst = (math.inf, {"t": 0.0, "profile": u_max})
+    for t in np.linspace(0.0, t_max, 201).tolist():
+        s = np.linspace(0.0, t, 201)
+        for u in (u_max, -u_max):
+            vals = np.abs(evaluate(spec.a_t, {"t": t, "s": s, "u": u}))
+            integral = (t / 200 / 3.0) * float(np.sum(w * vals))
+            margin = spec.envelope.c2 * math.exp(-spec.envelope.b * t) * growth - integral
+            if margin < worst[0]:
+                worst = (margin, {"t": t, "profile": u})
+    return worst
+
+
+@pytest.mark.parametrize(
+    "kernel", ["exp(-(t+s))*atan(u)", "sin(t-s)*u", "exp(s-t)*atan(u)", "log(1+t+s)*u^3", "t*u^2"]
+)
+def test_kernel_variation_matches_the_loop_bit_for_bit(kernel):
+    spec = build_problem("1", kernel, ExponentialDecayData(1, 0, 1, 0, 0.7, 0.3, 0.75))
+    check = validate_decay(spec, t_max=13.0, u_max=3.5).check("kernel-variation")
+    assert (check.margin, check.point) == kernel_variation_by_loop(spec, 13.0, 3.5)
+
+
+def test_kernel_variation_evaluates_once_per_profile(atan_spec, monkeypatch):
+    # f and f', the diagonal, a_t once per profile, and a_u once per t.
+    calls = count_evaluations(monkeypatch)
+    validate_decay(atan_spec, t_max=50.0, u_max=10.0)
+    assert calls["array"] <= 2 + 1 + 2 + 201
 
 
 # ---------------------------------------------------------------------------

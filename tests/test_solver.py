@@ -17,9 +17,8 @@ from volterrabound import (
     write_trajectory_csv,
 )
 from volterrabound import solver
-from volterrabound.expr import Expr
 
-
+from conftest import count_evaluations
 
 
 def zero_kernel_spec(f_text: str):
@@ -204,34 +203,11 @@ def test_odd_power_blow_up_not_continued_on_a_spurious_root():
     assert np.all(traj.values > 0.0)
 
 
-def _count_evaluations(monkeypatch):
-    """Count calls of every tree's generated evaluators, by kind, from
-    here to the end of the test: ``Expr.scalar``, ``Expr.quiet`` and
-    ``Expr.array`` hand out counting wrappers of the cached functions,
-    and the two scalar evaluators count as "scalar".  Each array call is
-    a sum over the whole history."""
-    calls = {"array": 0, "scalar": 0}
-    for attribute, kind in (("array", "array"), ("scalar", "scalar"), ("quiet", "scalar")):
-        cached = getattr(Expr, attribute)
-
-        def counted(e, kind=kind, cached=cached):
-            fn = cached.__get__(e, type(e))
-
-            def call(*args):
-                calls[kind] += 1
-                return fn(*args)
-
-            return call
-
-        monkeypatch.setattr(Expr, attribute, property(counted))
-    return calls
-
-
 def test_flat_step_without_root_fails_at_once(quadratic_spec, monkeypatch):
     # u = 1 + 0.5*u^2 has no real root, and at u = 1 its slope 1 - u is
     # zero: the attempt fails after one residual and one slope, leaving
     # the step to the caller's halving, with no |u| growth reported.
-    calls = _count_evaluations(monkeypatch)
+    calls = count_evaluations(monkeypatch)
     res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 1.0)
     assert not res.converged
     assert calls["scalar"] <= 2 and calls["array"] == 0
@@ -274,7 +250,7 @@ def test_split_lag_falls_back_where_a_factor_overflows(monkeypatch):
     # exp(s-t) splits into exp(-t) * exp(s), and exp(s) overflows past
     # s ~ 709.8 where the kernel itself stays below 1.  The running sums
     # serve the nodes before that, the direct quadrature the 90 after.
-    calls = _count_evaluations(monkeypatch)
+    calls = count_evaluations(monkeypatch)
     split, direct = _split_and_direct("1", "exp(s-t)*atan(u)", Grid(t_end=800.0, h=1.0))
     assert calls["array"] == 800 + 90
     assert split.status == direct.status == Completed()
@@ -294,7 +270,7 @@ def test_non_separable_kernel_matches_picard():
 def test_separable_kernel_never_evaluates_over_the_history(monkeypatch, atan_spec):
     # A silent fallback to the direct quadrature would pass every other
     # test, at O(N^2) cost.
-    calls = _count_evaluations(monkeypatch)
+    calls = count_evaluations(monkeypatch)
     traj = solve(atan_spec, Grid(t_end=2.0, h=1e-3))
     assert len(traj.values) == 2001
     assert calls["array"] == 0 and calls["scalar"] > 2000
