@@ -398,6 +398,7 @@ class _Backend(NamedTuple):
     anywhere: str  # does the elementwise test {} hold anywhere
     nonfinite: str  # is some element of {} not finite
     fail: str  # the statement a failed test runs, given the {node} name and the {message}
+    release: bool  # delete each SSA value after its last use, so arrays do not pile up
 
 
 _RAISE = "raise error({node}, {message}) from None"
@@ -407,6 +408,7 @@ _SCALAR = _Backend(
     "{}",
     "{0} - {0} != 0.0",  # x - x is 0.0 for every finite float and NaN otherwise
     _RAISE,
+    False,
 )
 _QUIET = _SCALAR._replace(namespace={**_SCALAR.namespace, "nan": math.nan}, fail="return nan")
 _ARRAY = _Backend(
@@ -415,6 +417,7 @@ _ARRAY = _Backend(
     "any({})",
     "not isfinite({}).all()",
     _RAISE,
+    True,
 )
 
 # Ops whose result is checked for overflow, with the domain rules checked
@@ -458,6 +461,9 @@ def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
     variable is checked where post-order first reads it.  The source is
     built from node kinds alone: it names only its SSA values, t, s, u
     and the namespace, which binds every constant, node and function.
+    A backend that releases its values deletes each one after the
+    statement of its last consumer, so an array evaluator holds about
+    three arrays at a time instead of one per node.
     """
     namespace = dict(k.namespace, error=EvalDomainError, math_errors=(OverflowError, ValueError))
     lines = ["def evaluator(t, s, u):"]
@@ -516,6 +522,16 @@ def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
         check(node, k.nonfinite.format(value), "overflow")
         return value
 
+    uses = {}  # id(node) -> reads of its value by consumers not yet emitted
+    stack, seen = [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            for child in _children(node):
+                uses[id(child)] = uses.get(id(child), 0) + 1
+                stack.append(child)
+
     stack = [root]
     while stack:
         node = stack[-1]
@@ -528,6 +544,13 @@ def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
             continue
         stack.pop()
         names[id(node)] = emit(node)
+        dead = []
+        for child in _children(node):
+            uses[id(child)] -= 1
+            if uses[id(child)] == 0 and isinstance(child, (Unary, Binary)):
+                dead.append(names[id(child)])
+        if k.release and dead:
+            lines.append(f"    del {', '.join(dead)}")
     lines.append(f"    return {names[id(root)]}")
     return "\n".join(lines) + "\n", namespace
 

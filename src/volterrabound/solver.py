@@ -9,7 +9,14 @@ solved by damped Newton with the symbolic kernel derivative a_u.  A root
 counts only where the slope 1 - (h/2)*a_u(t_n,t_n,u_n) is positive.
 When Newton finds no such root, the step is halved locally (up to 40 times);
 exhaustion with evidence of |u| crossing the blow-up cap is reported as
-finite-time blow-up, exhaustion without growth as a step failure.
+finite-time blow-up, exhaustion without growth as a step failure.  Once
+a node has that evidence, an attempt whose first slope, at the last
+accepted value, is not positive starts past the fold of the blow-up
+branch and fails at once, without Newton iterations.  This fold stop is
+a heuristic: in seeded fuzzing it never changed a result on blow-up
+kernels, but Newton overshoot on a kernel with an oscillating slope can
+give evidence without a blow-up, and there a stopped attempt may have
+had a root (``tests/test_solver.py::test_fold_stop_is_not_a_proof``).
 
 Cost: when the kernel separates as a = sum_k phi_k(t) * psi_k(s, u)
 (``expr.separate``), the history enters through one running trapezoid
@@ -234,7 +241,10 @@ def _advance_to(spec, hist, target):
 
     Returns None on success or a terminal status.  Accepted refinement
     nodes stay in the history so the quadrature remains consistent; only
-    grid nodes are reported in the trajectory.
+    grid nodes are reported in the trajectory.  ``blowup_evidence`` says
+    that an earlier, longer attempt at this node reached |u| > 1e8; it
+    decides BlowUp against StepFailure, and each later attempt at the
+    node gets it for the fold stop of :func:`_implicit_scalar`.
     """
     subnodes = 0
     while hist.last_t < target:
@@ -247,7 +257,7 @@ def _advance_to(spec, hist, target):
             # Land on the grid node exactly; rounding of t_cur + h_loc
             # must not perturb where f and the kernel are sampled.
             t_cand = target if h_loc == h_full else t_cur + h_loc
-            res = _attempt_step(spec, hist, t_cand)
+            res = _attempt_step(spec, hist, t_cand, blowup_evidence)
             if res.converged and abs(res.value) <= _BLOWUP_CAP:
                 hist.push(t_cand, res.value)
                 break
@@ -270,12 +280,14 @@ def _advance_to(spec, hist, target):
     return None
 
 
-def _attempt_step(spec, hist, t_new) -> _SolveResult:
+def _attempt_step(spec, hist, t_new, blowup_evidence) -> _SolveResult:
     """One implicit solve at t_new over the current history.
 
     A domain failure (NaN from f, or a raise from the direct
     quadrature) fails the attempt, for the halving machinery to judge.
-    f goes first: ``split_lag`` may drop the running sums.
+    f goes first: ``split_lag`` may drop the running sums.  f and the
+    lag are computed even where the fold stop then ends the attempt, so
+    the sums are dropped at the same attempt with or without the stop.
     """
     half_step = 0.5 * (t_new - hist.last_t)
     fval = spec.f.quiet(t_new, None, None)
@@ -287,7 +299,7 @@ def _attempt_step(spec, hist, t_new) -> _SolveResult:
             lag = _direct_lag(spec, hist, t_new)
         except EvalDomainError:
             return _SolveResult(False, 0.0, 0.0)
-    return _implicit_scalar(spec, t_new, fval + lag, half_step, hist.last_u)
+    return _implicit_scalar(spec, t_new, fval + lag, half_step, hist.last_u, blowup_evidence)
 
 
 def _direct_lag(spec, hist, t_new) -> float:
@@ -308,7 +320,7 @@ def _direct_lag(spec, hist, t_new) -> float:
     return float(np.dot(w, np.broadcast_to(evaluate(spec.a, {"t": t_new, "s": ht, "u": hu}), (m,))))
 
 
-def _implicit_scalar(spec, t, rhs, weight, u_start) -> _SolveResult:
+def _implicit_scalar(spec, t, rhs, weight, u_start, blowup_evidence) -> _SolveResult:
     """Solve u = rhs + weight * a(t, t, u) by damped Newton from u_start.
 
     Newton stops without a root where the start residual is NaN, the
@@ -316,6 +328,15 @@ def _implicit_scalar(spec, t, rhs, weight, u_start) -> _SolveResult:
     failure), 30 halvings of its step find no decrease of the residual,
     or its iterations run out.  The attempt then fails with the largest
     |u| reached so far, and the caller halves the step.
+
+    Fold stop: with ``blowup_evidence`` from a longer attempt at this
+    node, a first slope at u_start that is not positive (NaN included)
+    ends the attempt after one residual and one slope, with max_abs =
+    |u_start|.  On a blow-up the start then lies past the fold, where
+    failed attempts used to spend about 130 evaluations before their
+    line search gave up.  The evidence is already set, so only a
+    stopped attempt that Newton would have completed can change the
+    result (see the module docstring).
     """
     a, a_u = spec.a.quiet, spec.a_u.quiet
 
@@ -335,7 +356,10 @@ def _implicit_scalar(spec, t, rhs, weight, u_start) -> _SolveResult:
     for _ in range(_NEWTON_ITERATIONS):
         if abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
             return _on_branch(u, d, slope, max_abs)
+        first = d is None
         d = slope(u)
+        if first and blowup_evidence and not d > 0.0:
+            return _SolveResult(False, u, max_abs)
         if not math.isfinite(d) or abs(d) < _DERIVATIVE_FLOOR:
             return _SolveResult(False, u, max_abs)
         step = fu / d

@@ -439,7 +439,7 @@ _EXPRESSION_TEXTS = st.recursive(
     max_leaves=30,
 )
 _SOURCE_NAMES = {"def", "evaluator", "t", "s", "u", "if", "not", "raise", "try", "except", "from",
-                 "None", "return", "error", "math_errors", "all"}
+                 "None", "return", "error", "math_errors", "all", "del"}
 
 
 @given(st.one_of(st.text(), _EXPRESSION_TEXTS))
@@ -461,6 +461,40 @@ def test_generated_source_names_only_its_own_identifiers(text):
                 assert ast.literal_eval(token.string) in _MESSAGES
             elif token.type == tokenize.NUMBER:
                 assert token.string == "0.0"
+
+
+@given(_EXPRESSION_TEXTS)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_array_source_deletes_each_value_after_its_last_read(text):
+    # Derivatives share subtrees, so a value may have several consumers.
+    tree = parse(text)
+    try:
+        trees = [tree, differentiate(tree, "u")]
+    except NonDifferentiableError:
+        trees = [tree]
+    for tree in trees:
+        for backend in (expr_module._SCALAR, expr_module._QUIET):
+            assert "del " not in expr_module._source(tree, backend)[0]
+        lines = expr_module._source(tree, expr_module._ARRAY)[0].splitlines()
+        assigned, last_read, deleted = [], {}, {}
+        for number, line in enumerate(lines):
+            names = re.findall(r"\bv\d+\b", line)
+            if line.lstrip().startswith("del "):
+                for name in names:
+                    assert name not in deleted
+                    deleted[name] = number
+            elif re.match(r"\s*v\d+ = ", line):
+                assigned.append(names[0])
+                last_read.update((name, number) for name in names[1:])
+            else:
+                last_read.update((name, number) for name in names)
+        returned = lines[-1].split()[-1]
+        assert set(deleted) == set(assigned) - {returned}
+        for name, number in deleted.items():
+            # after the statement that reads it last, before any later value
+            assert last_read[name] < number
+            assert not any(re.match(r"\s*v\d+ = ", line) for line in lines[last_read[name] + 1:number])
+            assert not any(name in re.findall(r"\bv\d+\b", line) for line in lines[number + 1:])
 
 
 # ---------------------------------------------------------------------------

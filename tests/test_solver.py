@@ -208,10 +208,103 @@ def test_flat_step_without_root_fails_at_once(quadratic_spec, monkeypatch):
     # zero: the attempt fails after one residual and one slope, leaving
     # the step to the caller's halving, with no |u| growth reported.
     calls = count_evaluations(monkeypatch)
-    res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 1.0)
+    res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 1.0, False)
     assert not res.converged
     assert calls["scalar"] <= 2 and calls["array"] == 0
     assert res.max_abs == 1.0
+
+
+def test_start_past_the_fold_fails_at_once_with_blow_up_evidence(quadratic_spec, monkeypatch):
+    # u = 1 + 0.5*u^2 from u = 2, where the slope 1 - 0.5*2u is -1: with
+    # blow-up evidence at the node the attempt ends after one residual
+    # and one slope; without it Newton runs as before (values captured
+    # from the solver before the fold stop existed).
+    calls = count_evaluations(monkeypatch)
+    res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 2.0, True)
+    assert calls == {"array": 0, "scalar": 2}
+    assert res == solver._SolveResult(False, 2.0, 2.0)
+    calls["scalar"] = 0
+    res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 2.0, False)
+    assert calls == {"array": 0, "scalar": 4}
+    assert res == solver._SolveResult(False, 1.0, 2.0)
+
+
+def _fold_stop_problems():
+    """The blow-up powers of the benchmark's batch, and seeded kernels
+    with several real roots per step, c up to 30."""
+    rng = np.random.default_rng(13)
+    for k in (2.0, 2.5, 3.0, 4.0):
+        c = rng.uniform(0.8, 1.25)
+        t_star = c ** (1.0 - k) / (k - 1.0)
+        yield f"{c!r}", f"u^{k!r}", Grid(t_end=2.0 * t_star, h=t_star / 200)
+    for family in ("{c}*cos(u)^2*u", "{c}*sin(u)*u^2", "{c}*exp(u)", "-{c}*u^3"):
+        for _ in range(3):
+            c, f = rng.uniform(0.5, 30.0), rng.uniform(0.2, 3.0)
+            forcing = str(rng.choice(["{f}", "{f}*cos(t)", "{f} - t", "-{f}"]))
+            yield forcing.format(f=repr(f)), family.format(c=repr(c)), Grid(t_end=1.0, h=1.0 / 100)
+
+
+def test_fold_stop_ends_only_attempts_that_fail_without_it(monkeypatch):
+    # Every attempt made with blow-up evidence is re-run without it.
+    # Where the stop changed the result, the attempt ended at its start
+    # and the full Newton solve fails too, so halving, BlowUp or
+    # StepFailure and t_star come out as without the stop.
+    implicit = solver._implicit_scalar
+    stopped = []
+
+    def compared(spec, t, rhs, weight, u_start, blowup_evidence):
+        res = implicit(spec, t, rhs, weight, u_start, blowup_evidence)
+        if blowup_evidence:
+            full = implicit(spec, t, rhs, weight, u_start, False)
+            if res != full:
+                stopped.append(t)
+                assert res == solver._SolveResult(False, u_start, abs(u_start))
+                assert not (full.converged and abs(full.value) <= solver._BLOWUP_CAP)
+        return res
+
+    monkeypatch.setattr(solver, "_implicit_scalar", compared)
+    env = ExponentialDecayData(1, 0, 1, 0, 0, 0, 1)
+    statuses = set()
+    for f_text, a_text, grid in _fold_stop_problems():
+        spec = build_problem(f_text, a_text, env)
+        before = len(stopped)
+        statuses.add(type(solve(spec, grid).status))
+        if a_text.startswith("u^"):
+            assert len(stopped) > before, a_text
+    assert statuses == {BlowUp, Completed}
+    assert len(stopped) > 100
+
+
+def test_fold_stop_is_not_a_proof():
+    # u = 2.72*cos(t) + int 58.5*cos(u)^2*u on steps of 0.04 climbs to
+    # u = 2.7e6, where the slope of the kernel swings through zero every
+    # unit of u and Newton overshoots past the blow-up cap without a
+    # blow-up.  At t = 3.92499 an attempt starts on a falling slope, so
+    # the stop ends it, yet Newton would have found a root on a rising
+    # slope 27 units away.  The refinement then takes other subnodes:
+    # the solve still ends in the same step failure with the same 99
+    # grid values, reported at t = 3.94083 instead of 3.94446.
+    spec = build_problem("2.7224606461719154*cos(t)", "58.543202818164076*cos(u)^2*u",
+                         ExponentialDecayData(1, 0, 1, 0, 0, 0, 1))
+    attempt = (spec, 3.924994384996661, 2682057.8782359874, 2.6707572287065773e-07, 2682057.8017126475)
+    assert solver._implicit_scalar(*attempt, True) == solver._SolveResult(
+        False, 2682057.8017126475, 2682057.8017126475
+    )
+    assert solver._implicit_scalar(*attempt, False) == solver._SolveResult(
+        True, 2682085.096567382, 2683806.778020116
+    )
+
+
+def test_quartic_blow_up_golden_with_few_evaluations(monkeypatch):
+    # u = 1 + int u^4 blows up at t* = 1/3; steps of t*/1000.  The status
+    # is the one the solver gave before the fold stop, which cut the
+    # quiet evaluations of this solve from 174 323 to about 40 000.
+    calls = count_evaluations(monkeypatch)
+    t_star = 1.0 / 3.0
+    spec = build_problem("1.0", "u^4", ExponentialDecayData(1, 0, 1, 0, 0, 0, 2))
+    traj = solve(spec, Grid(t_end=2.0 * t_star, h=t_star / 1000))
+    assert traj.status == BlowUp(t_star=0.33325523423631676)
+    assert calls["array"] == 0 and calls["scalar"] <= 45_000
 
 
 # ---------------------------------------------------------------------------
