@@ -27,6 +27,13 @@ The scalar work (f, Newton's residual and slope, the running sums) calls
 each tree's generated ``Expr.quiet`` function with positional floats,
 one Python frame per evaluation, a domain failure being NaN; only the
 sum over the history goes through ``evaluate``, once per attempt.
+
+Structure: the march is one loop in :func:`solve`, which holds the grid
+nodes, the local halving and refinement, each attempt's f and lag, and
+the running sums as local lists.  Each attempt makes one call, to
+:func:`_implicit_scalar`, which writes the residual and the slope out
+at each use.  Python call overhead, not kernel work, bounds the
+stepping, so no helper frame runs per node or per residual.
 """
 
 from __future__ import annotations
@@ -34,12 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, evaluate, separate
-from .ioutil import write_text_atomic
+from .expr import EvalDomainError, evaluate, separate
+from .ioutil import write_csv_atomic
 from .model import ProblemSpec
 
 __all__ = [
@@ -126,87 +133,13 @@ class Trajectory:
         return self.grid.times()[: len(self.values)]
 
 
-@dataclass(frozen=True)
-class _SolveResult:
+class _SolveResult(NamedTuple):
     converged: bool
     value: float
     max_abs: float  # largest |u| seen among iterates; blow-up evidence
 
 
-class _LagSums:
-    """Running trapezoid sums for a kernel a = sum_k phi_k(t) * psi_k(s, u).
-
-    ``closed[k]`` is the integral of psi_k over the closed segments
-    between accepted nodes, sum of d/2 * (psi_k(left) + psi_k(right));
-    ``last[k]`` is psi_k at the last accepted node, whose right half
-    weight d/2 depends on the attempted step.  The lag of an attempt at
-    t is then sum_k phi_k(t) * (closed[k] + d/2 * last[k]): O(1) per
-    attempt instead of O(history).
-    """
-
-    __slots__ = ("outer", "inner", "closed", "last")
-
-    def __init__(self, terms, s0: float, u0: float):
-        self.outer = [outer.quiet for outer, _ in terms]
-        self.inner = [inner.quiet for _, inner in terms]
-        self.closed = [0.0] * len(terms)
-        self.last = self._inner_values(s0, u0)
-
-    def _inner_values(self, s: float, u: float) -> list:
-        return [inner(None, s, u) for inner in self.inner]
-
-    def lag(self, t: float, half_step: float) -> float:
-        total = 0.0
-        for outer, closed, last in zip(self.outer, self.closed, self.last):
-            total += outer(t, None, None) * (closed + half_step * last)
-        return total
-
-    def close_segment(self, half_step: float, s: float, u: float) -> None:
-        new = self._inner_values(s, u)
-        self.closed = [c + half_step * (a + b) for c, a, b in zip(self.closed, self.last, new)]
-        self.last = new
-
-
-class _History:
-    """Append-only (t, u) store backed by amortized-growth arrays, so
-    the per-step quadrature reads contiguous views instead of converting
-    Python lists every attempt.  For a separable kernel it also keeps
-    the running lag sums, until their lag is not finite once (a factor
-    leaving its domain, NaN, or overflowing where the kernel does not);
-    from then on the quadrature runs over the stored nodes.  A NaN in
-    the sums stays until ``split_lag`` drops them, before any push."""
-
-    __slots__ = ("t", "u", "n", "last_t", "last_u", "sums")
-
-    def __init__(self, t0: float, u0: float, kernel: Expr):
-        self.t = np.empty(256)
-        self.u = np.empty(256)
-        self.t[0] = self.last_t = t0
-        self.u[0] = self.last_u = u0
-        self.n = 1
-        terms = separate(kernel, "t")
-        self.sums = None if terms is None else _LagSums(terms, t0, u0)
-
-    def push(self, t: float, u: float) -> None:
-        half_step = 0.5 * (t - self.last_t)
-        if self.n == len(self.t):
-            self.t = np.concatenate([self.t, np.empty_like(self.t)])
-            self.u = np.concatenate([self.u, np.empty_like(self.u)])
-        self.t[self.n] = self.last_t = t
-        self.u[self.n] = self.last_u = u
-        self.n += 1
-        if self.sums is not None:
-            self.sums.close_segment(half_step, t, u)
-
-    def split_lag(self, t: float, half_step: float) -> float | None:
-        """The lag from the running sums, or None once they are unusable."""
-        if self.sums is None:
-            return None
-        lag = self.sums.lag(t, half_step)
-        if not math.isfinite(lag):
-            self.sums = None
-            return None
-        return lag
+_FAILED = _SolveResult(False, 0.0, 0.0)  # an attempt that failed before Newton
 
 
 def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
@@ -217,96 +150,120 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     returned trajectory is a pure function of the inputs (bit-identical
     on repeated runs).  Values stop at the last grid node accepted
     before blow-up or failure.
-    """
-    tgrid = grid.times()
-    u0 = spec.f.scalar(0.0, None, None)
-    hist = _History(0.0, u0, spec.a)
-    values = [u0]
-    status: Status = Completed()
 
-    for n in range(1, grid.n):
-        terminal = _advance_to(spec, hist, float(tgrid[n]))
-        if terminal is not None:
-            status = terminal
-            break
-        values.append(hist.last_u)
-
-    traj_values = np.array(values, dtype=float)
-    traj_values.flags.writeable = False
-    return Trajectory(grid=grid, values=traj_values, status=status)
-
-
-def _advance_to(spec, hist, target):
-    """Extend the history to ``target``, refining locally if needed.
-
-    Returns None on success or a terminal status.  Accepted refinement
-    nodes stay in the history so the quadrature remains consistent; only
-    grid nodes are reported in the trajectory.  ``blowup_evidence`` says
+    Each grid node is reached from the last accepted node (t_cur, u_cur)
+    by attempts at shorter and shorter steps: a failed attempt halves
+    the step, and an accepted one that falls short of the node adds a
+    refinement subnode.  Subnodes stay in the history, so the quadrature
+    remains consistent; only grid nodes are reported.  ``evidence`` says
     that an earlier, longer attempt at this node reached |u| > 1e8; it
     decides BlowUp against StepFailure, and each later attempt at the
     node gets it for the fold stop of :func:`_implicit_scalar`.
+
+    An attempt computes f, then the lag, then calls ``_implicit_scalar``;
+    a domain failure (NaN from f, or a raise from the direct quadrature)
+    fails it before Newton.  For a separable kernel, ``closed[k]`` is the
+    integral of psi_k over the closed segments between accepted nodes
+    and ``last[k]`` is psi_k at the last accepted node, whose right half
+    weight depends on the attempted step, so the lag at t is sum_k
+    phi_k(t) * (closed[k] + half * last[k]).  The first lag from the sums
+    that is not finite (a factor leaving its domain, NaN, or overflowing
+    where the kernel does not) drops them for good, and the quadrature
+    runs over the stored nodes from then on.  f goes first, so the sums
+    are dropped at the same attempt with or without the fold stop.
     """
-    subnodes = 0
-    while hist.last_t < target:
-        t_cur = hist.last_t
-        h_full = target - t_cur
-        h_loc = h_full
-        halvings = 0
-        blowup_evidence = False
-        while True:
-            # Land on the grid node exactly; rounding of t_cur + h_loc
-            # must not perturb where f and the kernel are sampled.
-            t_cand = target if h_loc == h_full else t_cur + h_loc
-            res = _attempt_step(spec, hist, t_cand, blowup_evidence)
-            if res.converged and abs(res.value) <= _BLOWUP_CAP:
-                hist.push(t_cand, res.value)
+    f = spec.f.quiet
+    t_cur, u_cur = 0.0, spec.f.scalar(0.0, None, None)
+    # The history in amortized-growth arrays, so the direct quadrature
+    # reads contiguous views instead of converting lists every attempt.
+    ht, hu = np.empty(256), np.empty(256)
+    ht[0], hu[0] = t_cur, u_cur
+    m = 1
+    terms = separate(spec.a, "t")
+    split = terms is not None
+    if split:
+        outer = [phi.quiet for phi, _ in terms]
+        inner = [psi.quiet for _, psi in terms]
+        closed = [0.0] * len(terms)
+        last = [psi(None, t_cur, u_cur) for psi in inner]
+    values = [u_cur]
+    status: Status | None = None
+
+    for target in grid.times()[1:].tolist():
+        subnodes = 0
+        while t_cur < target:
+            h_full = h_loc = target - t_cur
+            halvings = 0
+            evidence = False
+            while True:
+                # Land on the grid node exactly; rounding of t_cur + h_loc
+                # must not perturb where f and the kernel are sampled.
+                t_cand = target if h_loc == h_full else t_cur + h_loc
+                half = 0.5 * (t_cand - t_cur)
+                res = _FAILED
+                fval = f(t_cand, None, None)
+                if fval == fval:
+                    lag = None
+                    if split:
+                        lag = 0.0
+                        for phi, c, l in zip(outer, closed, last):
+                            lag += phi(t_cand, None, None) * (c + half * l)
+                        if not math.isfinite(lag):
+                            split = False
+                            lag = None
+                    if lag is None:
+                        try:
+                            lag = _direct_lag(spec, ht[:m], hu[:m], t_cand)
+                        except EvalDomainError:
+                            pass
+                    if lag is not None:
+                        res = _implicit_scalar(spec, t_cand, fval + lag, half, u_cur, evidence)
+                converged, u_new, max_abs = res
+                if converged and abs(u_new) <= _BLOWUP_CAP:
+                    break
+                if max_abs > _BLOWUP_CAP:  # max_abs >= |u_new|
+                    evidence = True
+                halvings += 1
+                h_loc *= 0.5
+                if halvings > _MAX_HALVINGS or t_cur + h_loc <= t_cur:
+                    # Bracket: last accepted time and the smallest step that failed.
+                    if evidence:
+                        status = BlowUp(t_star=0.5 * (t_cur + t_cand))
+                    else:
+                        status = StepFailure(
+                            t=t_cur,
+                            reason="step solve failed without |u| growth after local halving",
+                        )
+                    break
+            if status is not None:
                 break
-            if res.max_abs > _BLOWUP_CAP or (res.converged and abs(res.value) > _BLOWUP_CAP):
-                blowup_evidence = True
-            halvings += 1
-            h_loc *= 0.5
-            if halvings > _MAX_HALVINGS or t_cur + h_loc <= t_cur:
-                # Bracket: last accepted time and the smallest step that failed.
-                t_star = 0.5 * (t_cur + t_cand)
-                if blowup_evidence:
-                    return BlowUp(t_star=t_star)
-                return StepFailure(
-                    t=t_cur,
-                    reason="step solve failed without |u| growth after local halving",
-                )
-        subnodes += 1
-        if subnodes > _MAX_SUBNODES and hist.last_t < target:
-            return StepFailure(t=hist.last_t, reason="local refinement budget exhausted")
-    return None
+            if m == len(ht):
+                ht = np.concatenate([ht, np.empty_like(ht)])
+                hu = np.concatenate([hu, np.empty_like(hu)])
+            ht[m] = t_cur = t_cand
+            hu[m] = u_cur = u_new
+            m += 1
+            if split:
+                for k, psi in enumerate(inner):
+                    new = psi(None, t_cand, u_new)
+                    closed[k] += half * (last[k] + new)
+                    last[k] = new
+            subnodes += 1
+            if subnodes > _MAX_SUBNODES and t_cur < target:
+                status = StepFailure(t=t_cur, reason="local refinement budget exhausted")
+                break
+        if status is not None:
+            break
+        values.append(u_cur)
+
+    traj_values = np.array(values, dtype=float)
+    traj_values.flags.writeable = False
+    return Trajectory(grid=grid, values=traj_values, status=status or Completed())
 
 
-def _attempt_step(spec, hist, t_new, blowup_evidence) -> _SolveResult:
-    """One implicit solve at t_new over the current history.
-
-    A domain failure (NaN from f, or a raise from the direct
-    quadrature) fails the attempt, for the halving machinery to judge.
-    f goes first: ``split_lag`` may drop the running sums.  f and the
-    lag are computed even where the fold stop then ends the attempt, so
-    the sums are dropped at the same attempt with or without the stop.
-    """
-    half_step = 0.5 * (t_new - hist.last_t)
-    fval = spec.f.quiet(t_new, None, None)
-    if math.isnan(fval):
-        return _SolveResult(False, 0.0, 0.0)
-    lag = hist.split_lag(t_new, half_step)
-    if lag is None:
-        try:
-            lag = _direct_lag(spec, hist, t_new)
-        except EvalDomainError:
-            return _SolveResult(False, 0.0, 0.0)
-    return _implicit_scalar(spec, t_new, fval + lag, half_step, hist.last_u, blowup_evidence)
-
-
-def _direct_lag(spec, hist, t_new) -> float:
-    """Trapezoid sum of a(t_new, t_j, u_j) over every stored node."""
-    m = hist.n
-    ht = hist.t[:m]
-    hu = hist.u[:m]
+def _direct_lag(spec, ht, hu, t_new) -> float:
+    """Trapezoid sum of a(t_new, t_j, u_j) over the stored nodes (ht, hu)."""
+    m = len(ht)
     # trapezoid weights over the nodes [t_0, ..., t_{m-1}, t_new]:
     # w_j = (d_{j-1} + d_j)/2 with segment lengths d and d_{-1} = 0
     d = np.empty(m)
@@ -323,11 +280,21 @@ def _direct_lag(spec, hist, t_new) -> float:
 def _implicit_scalar(spec, t, rhs, weight, u_start, blowup_evidence) -> _SolveResult:
     """Solve u = rhs + weight * a(t, t, u) by damped Newton from u_start.
 
-    Newton stops without a root where the start residual is NaN, the
-    slope is flat or not finite (a NaN from a or a_u is a domain
-    failure), 30 halvings of its step find no decrease of the residual,
-    or its iterations run out.  The attempt then fails with the largest
-    |u| reached so far, and the caller halves the step.
+    The residual is u - rhs - weight * a(t, t, u) and the slope
+    1 - weight * a_u(t, t, u), written out at each use.  Newton stops
+    without a root where the start residual is NaN, the slope is flat
+    or not finite (a NaN from a or a_u is a domain failure), 30 halvings
+    of its step find no decrease of the residual, or its iterations run
+    out.  The attempt then fails with the largest |u| reached so far,
+    and the caller halves the step.
+
+    A root is accepted only where the residual increases through it,
+    slope > 0, as on the branch that continues the solution from the
+    last node.  Elsewhere, such as the far root an odd power always
+    has, the attempt fails with |u| as blow-up evidence.  The slope
+    Newton computed at the iterate the root was reached from stands in
+    for the slope at the root; only when the start already converged is
+    the slope evaluated at the root.  NaN fails the test.
 
     Fold stop: with ``blowup_evidence`` from a longer attempt at this
     node, a first slope at u_start that is not positive (NaN included)
@@ -337,61 +304,46 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, blowup_evidence) -> _SolveRe
     line search gave up.  The evidence is already set, so only a
     stopped attempt that Newton would have completed can change the
     result (see the module docstring).
+
+    max_abs >= |u| holds throughout: each iterate is a trial, and each
+    trial enters max_abs before it can be taken.
     """
     a, a_u = spec.a.quiet, spec.a_u.quiet
-
-    def residual(u: float) -> float:
-        return u - rhs - weight * a(t, t, u)
-
-    def slope(u: float) -> float:
-        return 1.0 - weight * a_u(t, t, u)
-
     max_abs = abs(u_start)
     u = u_start
-    fu = residual(u)
-    if math.isnan(fu):
+    fu = u - rhs - weight * a(t, t, u)
+    if fu != fu:
         return _SolveResult(False, u, max_abs)
 
     d = None  # slope at the Newton iterate the current u was reached from
     for _ in range(_NEWTON_ITERATIONS):
         if abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
-            return _on_branch(u, d, slope, max_abs)
+            break
         first = d is None
-        d = slope(u)
+        d = 1.0 - weight * a_u(t, t, u)
         if first and blowup_evidence and not d > 0.0:
             return _SolveResult(False, u, max_abs)
         if not math.isfinite(d) or abs(d) < _DERIVATIVE_FLOOR:
             return _SolveResult(False, u, max_abs)
         step = fu / d
+        size = abs(fu)
         for _ in range(30):
             trial = u - step
-            ft = residual(trial)
-            max_abs = max(max_abs, abs(trial))
-            if math.isfinite(ft) and abs(ft) < abs(fu):
+            ft = trial - rhs - weight * a(t, t, trial)
+            if abs(trial) > max_abs:  # as max(max_abs, |trial|), NaN included
+                max_abs = abs(trial)
+            if abs(ft) < size:  # false for a NaN or infinite ft
                 u, fu = trial, ft
                 break
             step *= 0.5
         else:
             return _SolveResult(False, u, max_abs)
-    if abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
-        return _on_branch(u, d, slope, max_abs)
-    return _SolveResult(False, u, max_abs)
-
-
-def _on_branch(u, d, slope, max_abs) -> _SolveResult:
-    """Accept the root u only where the residual increases through it,
-    slope 1 - weight * a_u(t, t, u) > 0, as on the branch that continues
-    the solution from the last node.  Elsewhere, such as the far root an
-    odd power always has, the attempt fails with |u| as blow-up
-    evidence.  ``d`` is the slope Newton computed at the iterate u was
-    reached from; it stands in for the slope at u.  It is None only when
-    the start already converged, and the slope is then evaluated at u;
-    NaN fails the test."""
+    else:
+        if not abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
+            return _SolveResult(False, u, max_abs)
     if d is None:
-        d = slope(u)
-    if d > 0.0:
-        return _SolveResult(True, u, max_abs)
-    return _SolveResult(False, u, max(max_abs, abs(u)))
+        d = 1.0 - weight * a_u(t, t, u)
+    return _SolveResult(d > 0.0, u, max_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +407,4 @@ def write_trajectory_csv(traj: Trajectory, path: Union[str, Path]) -> None:
     fields = _status_fields(traj.status)
     status = " ".join([fields.pop("kind")] + [f"{k}={v}" if isinstance(v, str) else f"{k}={v:.17g}"
                                               for k, v in fields.items()])
-    rows = zip(map(float, traj.times()), map(float, traj.values))  # as in cli._write_bound_csv
-    lines = ["t,u"] + ["%.17g,%.17g" % row for row in rows] + [f"# status={status}"]
-    write_text_atomic(Path(path), "\n".join(lines) + "\n")
+    write_csv_atomic(path, "t,u", (traj.times(), traj.values), (f"# status={status}",))

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -46,6 +48,22 @@ def test_solve_blowup_exit_code_and_message(tmp_path, capsys):
     assert code == 3
     assert "blow-up detected near t=1.00" in captured.out
     assert "# status=blowup" in (out / "trajectory.csv").read_text()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    # The atomic write goes through a temporary file, which is created
+    # 0600; the output must still get 0666 less the umask, as a plain
+    # open() would give it.
+    problem = write_problem(tmp_path / "p.json", ATAN_PROBLEM)
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        code = run(["solve", "--problem", problem, "--t-end", "1", "--step", "0.1", "--out", str(out)])
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE((out / "trajectory.csv").stat().st_mode) == mode
 
 
 def test_solve_step_must_divide_t_end(tmp_path, capsys):

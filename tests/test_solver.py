@@ -126,9 +126,38 @@ def test_golden_values_pin_every_operation(atan_spec):
     # u = 1 + int u^2.5 blows up at t* = 2/3; steps of t*/1000.
     t_star = 1.0 / 1.5
     spec = build_problem("1.0", "u^2.5", ExponentialDecayData(1, 0, 1, 0, 0, 0, 1.25))
-    assert solve(spec, Grid(t_end=2.0 * t_star, h=t_star / 1000)).status == BlowUp(
-        t_star=0.6663980366771215
+    traj = solve(spec, Grid(t_end=2.0 * t_star, h=t_star / 1000))
+    assert traj.status == BlowUp(t_star=0.6663980366771215)
+    # Near t* the solve accepts 48 refinement subnodes, each reached by
+    # halving the step.
+    assert (len(traj.values), float(traj.values[-1])) == (1000, 127.59728674442196)
+    # atan(t*s*u) does not separate: the direct quadrature at every step.
+    spec = build_problem("exp(-t)", "atan(t*s*u)", ExponentialDecayData(2, 1, 2, 0, 2, 0, 0.5))
+    traj = solve(spec, Grid(t_end=1.0, h=2e-3))
+    assert traj.status == Completed() and len(traj.values) == 501
+    assert [float(traj.values[n]) for n in (100, 300, 500)] == [
+        0.8222404202385973,
+        0.6247150336793296,
+        0.6782598283527898,
+    ]
+    # exp(s) overflows past s ~ 709.8: the running sums serve the nodes
+    # before it, the direct quadrature the nodes after.
+    env = ExponentialDecayData(10, 0, 10, 0, 0, 0, 1)
+    spec = build_problem("1 + 0.5*cos(t)", "exp(s-t)*atan(u)", env)
+    traj = solve(spec, Grid(t_end=800.0, h=1.0))
+    assert traj.status == Completed() and len(traj.values) == 801
+    assert [float(traj.values[n]) for n in (709, 711, 800)] == [
+        2.4981596731279683,
+        2.567523965819635,
+        2.029787499061464,
+    ]
+    # sqrt(u) with u dragged below 0: halving ends without growth.
+    spec = build_problem("0.1 - t", "sqrt(u)", ExponentialDecayData(2, 0, 1, 0, 0, 0, 0.5))
+    traj = solve(spec, Grid(t_end=1.0, h=0.01))
+    assert traj.status == StepFailure(
+        t=0.12774711292955662, reason="step solve failed without |u| growth after local halving"
     )
+    assert len(traj.values) == 13
 
 
 def test_failed_trials_raise_no_domain_error(monkeypatch):
@@ -423,6 +452,16 @@ def test_trajectory_csv_format(tmp_path, quadratic_spec):
     # 17 significant digits round-trip binary64
     for line, value in zip(lines[1:-1], traj.values):
         assert float(line.split(",")[1]) == value
+
+
+def test_trajectory_csv_rows_cross_write_chunks(tmp_path):
+    # 2 501 rows span three of the writer's 1 024-row conversion chunks;
+    # every (t, u) must come back as the same binary64 pair, in order.
+    traj = solve(linear_spec(), Grid(t_end=1.0, h=4e-4))
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, path)
+    rows = [tuple(map(float, line.split(","))) for line in path.read_text().splitlines()[1:-1]]
+    assert rows == list(zip(traj.times().tolist(), traj.values.tolist()))
 
 
 def test_trajectory_csv_blowup_status(tmp_path, quadratic_spec):
