@@ -24,8 +24,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .certificate import (
     Certificate,
@@ -45,8 +43,8 @@ from .model import (
     problem_from_dict,
     validate_decay,
 )
-from .solver import BlowUp, Completed, Grid, StepFailure, Trajectory, solve, write_trajectory_csv
-from .solver import _status_fields
+from .solver import BlowUp, Completed, Grid, StepFailure, solve, write_trajectory_csv
+from .solver import _status_fields, _trajectory_csv
 
 __all__ = ["main"]
 
@@ -139,7 +137,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report, cert, data = _certify_pipeline(spec, args.t_max, args.u_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out / "trajectory.csv")
 
     payload = _certificate_payload(report, cert)
     payload["solver"] = {"status": _status_fields(traj.status)}
@@ -181,17 +178,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
 
     _write_json(out / "report.json", payload)
+    # trajectory.csv and bound.csv in one pass: bound.csv's t and u are
+    # the first columns of trajectory.csv, formatted once for both.
+    t = traj.times()
+    columns, targets = [t, traj.values], [_trajectory_csv(traj, out / "trajectory.csv")]
     if majorant is not None:
-        _write_bound_csv(out / "bound.csv", traj, majorant.values, cert)
+        n = min(len(t), len(majorant.values))
+        columns += [majorant.values[:n], cert.bound_values(t)[:n]]
+        targets.append((out / "bound.csv", "t,u,g,mu_inv", 4, n, ()))
+    write_csv_atomic(columns, targets)
     print(message, file=stream)
     return code
-
-
-def _write_bound_csv(path: Path, traj: Trajectory, majorant: np.ndarray, cert: Certificate) -> None:
-    t = traj.times()
-    bound = cert.bound_values(t)
-    n = min(len(t), len(majorant))
-    write_csv_atomic(path, "t,u,g,mu_inv", [c[:n] for c in (t, traj.values, majorant, bound)])
 
 
 def cmd_demo_blowup(args: argparse.Namespace) -> int:

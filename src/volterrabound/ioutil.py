@@ -1,48 +1,84 @@
-"""Small file-system helpers shared by the exporters and the CLI."""
+"""Small file-system helpers shared by the exporters and the CLI.
+
+Every output is written to a temporary file in its own directory and
+renamed into place, so readers never observe a partially written file.
+CSV files are streamed: no file's whole text is held in memory.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from pathlib import Path
 
 __all__ = ["write_text_atomic", "write_csv_atomic"]
 
-# Rows converted to Python floats at a time.  Whole-column tolist() lists
+# Rows formatted and written at a time.  Whole-column tolist() lists
 # raised verify's peak RSS by about 1 MB at 12 001 nodes, and chunks of
 # 4096 rows still by about 0.8 MB.
 _CSV_CHUNK = 1024
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    """Write via a temporary file in the same directory plus rename, so
-    readers never observe a partially written file.  The file gets the
-    mode a plain ``open`` would give it, 0o666 less the umask."""
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent or ".")
+@contextlib.contextmanager
+def _atomic_files(paths):
+    """Yield one text handle per path, open on a temporary file beside
+    it.  On success each file gets the mode a plain ``open`` would give
+    it, 0o666 less the umask, and is renamed onto its path; on failure
+    every temporary file is removed."""
+    handles, names = [], []
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        for path in paths:
+            path = Path(path)
+            fd, name = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
+            names.append(name)
+            handles.append(os.fdopen(fd, "w"))
+        yield handles
+        for handle in handles:
+            handle.close()
         umask = os.umask(0)
         os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, path)
+        for name, path in zip(names, paths):
+            os.chmod(name, 0o666 & ~umask)
+            os.replace(name, path)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        for handle in handles:
+            with contextlib.suppress(OSError):
+                handle.close()
+        for name in names:
+            with contextlib.suppress(OSError):
+                os.unlink(name)  # already gone once renamed
         raise
 
 
-def write_csv_atomic(path: Path, header: str, columns, trailer: tuple = ()) -> None:
-    """Write ``header``, one row per index of the equally long float
-    ``columns`` with 17 significant digits (binary64 round trip), then
-    the ``trailer`` lines."""
-    row = ",".join(["%.17g"] * len(columns))
-    lines = [header]
-    for start in range(0, len(columns[0]), _CSV_CHUNK):
-        chunk = [column[start : start + _CSV_CHUNK].tolist() for column in columns]
-        lines += [row % values for values in zip(*chunk)]
-    lines += trailer
-    write_text_atomic(path, "\n".join(lines) + "\n")
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically."""
+    with _atomic_files([path]) as (handle,):
+        handle.write(text)
+
+
+def write_csv_atomic(columns, targets) -> None:
+    """Write one or more CSV files atomically in one pass over shared
+    float ``columns``.
+
+    Each target is ``(path, header, width, rows, trailer)``: its file
+    holds the ``header`` line, then ``rows`` rows of the first ``width``
+    columns with 17 significant digits (binary64 round trip), then the
+    ``trailer`` lines.  Each chunk of rows is formatted once, in the
+    columns that a target still writing rows prints, and written to
+    every such target before the next chunk is formatted.  A column
+    shorter than the chunk is formatted only as far as it reaches.
+    """
+    with _atomic_files([path for path, *_ in targets]) as handles:
+        for (_, header, *_), handle in zip(targets, handles):
+            handle.write(header + "\n")
+        for start in range(0, max(rows for *_, rows, _ in targets), _CSV_CHUNK):
+            live = [(handle, width, rows - start)
+                    for (_, _, width, rows, _), handle in zip(targets, handles) if rows > start]
+            texts = [["%.17g" % x for x in column[start : start + _CSV_CHUNK].tolist()]
+                     for column in columns[: max(width for _, width, _ in live)]]
+            for handle, width, count in live:
+                cells = zip(*(text[:count] for text in texts[:width]))
+                handle.write("\n".join(map(",".join, cells)) + "\n")
+        for (*_, trailer), handle in zip(targets, handles):
+            handle.write("".join(line + "\n" for line in trailer))

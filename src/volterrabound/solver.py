@@ -26,7 +26,9 @@ overflowed, are summed over every stored node at every attempt: O(N^2).
 The scalar work (f, Newton's residual and slope, the running sums) calls
 each tree's generated ``Expr.quiet`` function with positional floats,
 one Python frame per evaluation, a domain failure being NaN; only the
-sum over the history goes through ``evaluate``, once per attempt.
+sum over the history goes through ``evaluate``, once per attempt.  Each
+attempt's Newton result is a plain tuple, the cheapest object Python
+builds for it.
 
 Structure: the march is one loop in :func:`solve`, which holds the grid
 nodes, the local halving and refinement, each attempt's f and lag, and
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -133,13 +135,8 @@ class Trajectory:
         return self.grid.times()[: len(self.values)]
 
 
-class _SolveResult(NamedTuple):
-    converged: bool
-    value: float
-    max_abs: float  # largest |u| seen among iterates; blow-up evidence
-
-
-_FAILED = _SolveResult(False, 0.0, 0.0)  # an attempt that failed before Newton
+# An attempt that failed before Newton, as (converged, value, max_abs).
+_FAILED = (False, 0.0, 0.0)
 
 
 def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
@@ -277,8 +274,14 @@ def _direct_lag(spec, ht, hu, t_new) -> float:
     return float(np.dot(w, np.broadcast_to(evaluate(spec.a, {"t": t_new, "s": ht, "u": hu}), (m,))))
 
 
-def _implicit_scalar(spec, t, rhs, weight, u_start, blowup_evidence) -> _SolveResult:
+def _implicit_scalar(spec, t, rhs, weight, u_start, blowup_evidence) -> tuple[bool, float, float]:
     """Solve u = rhs + weight * a(t, t, u) by damped Newton from u_start.
+
+    Returns the plain tuple ``(converged, value, max_abs)``: whether an
+    accepted root was found, the last iterate (the root when converged),
+    and the largest |u| seen among the iterates, the blow-up evidence.
+    A plain tuple, because a named one took about ten times as long to
+    build, once per attempt.
 
     The residual is u - rhs - weight * a(t, t, u) and the slope
     1 - weight * a_u(t, t, u), written out at each use.  Newton stops
@@ -313,7 +316,7 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, blowup_evidence) -> _SolveRe
     u = u_start
     fu = u - rhs - weight * a(t, t, u)
     if fu != fu:
-        return _SolveResult(False, u, max_abs)
+        return False, u, max_abs
 
     d = None  # slope at the Newton iterate the current u was reached from
     for _ in range(_NEWTON_ITERATIONS):
@@ -322,9 +325,9 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, blowup_evidence) -> _SolveRe
         first = d is None
         d = 1.0 - weight * a_u(t, t, u)
         if first and blowup_evidence and not d > 0.0:
-            return _SolveResult(False, u, max_abs)
+            return False, u, max_abs
         if not math.isfinite(d) or abs(d) < _DERIVATIVE_FLOOR:
-            return _SolveResult(False, u, max_abs)
+            return False, u, max_abs
         step = fu / d
         size = abs(fu)
         for _ in range(30):
@@ -337,13 +340,13 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, blowup_evidence) -> _SolveRe
                 break
             step *= 0.5
         else:
-            return _SolveResult(False, u, max_abs)
+            return False, u, max_abs
     else:
         if not abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
-            return _SolveResult(False, u, max_abs)
+            return False, u, max_abs
     if d is None:
         d = 1.0 - weight * a_u(t, t, u)
-    return _SolveResult(d > 0.0, u, max_abs)
+    return d > 0.0, u, max_abs
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +404,16 @@ def _status_fields(status: Status) -> dict:
     return {"kind": "step_failure", "t": status.t, "reason": status.reason}
 
 
-def write_trajectory_csv(traj: Trajectory, path: Union[str, Path]) -> None:
-    """Write ``t,u`` rows with 17 significant digits (binary64 round
-    trip) and a trailing ``# status=...`` comment line."""
+def _trajectory_csv(traj: Trajectory, path: Union[str, Path]) -> tuple:
+    """The ``write_csv_atomic`` target of the trajectory over leading
+    columns (t, u): ``t,u`` rows and a trailing ``# status=...`` line."""
     fields = _status_fields(traj.status)
     status = " ".join([fields.pop("kind")] + [f"{k}={v}" if isinstance(v, str) else f"{k}={v:.17g}"
                                               for k, v in fields.items()])
-    write_csv_atomic(path, "t,u", (traj.times(), traj.values), (f"# status={status}",))
+    return path, "t,u", 2, len(traj.values), (f"# status={status}",)
+
+
+def write_trajectory_csv(traj: Trajectory, path: Union[str, Path]) -> None:
+    """Write ``t,u`` rows with 17 significant digits (binary64 round
+    trip) and a trailing ``# status=...`` comment line."""
+    write_csv_atomic((traj.times(), traj.values), [_trajectory_csv(traj, path)])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -173,6 +174,74 @@ def test_outputs_byte_identical_between_runs(tmp_path):
     assert run(args + ["--out", str(out2)]) == 0
     for name in ("trajectory.csv", "bound.csv", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# Digests captured before verify wrote both CSV files in one pass.
+_VERIFY_GOLDEN = {
+    # The README problem: 2 501 rows, two full 1 024-row chunks and a
+    # partial one.
+    "atan": (
+        ATAN_PROBLEM,
+        ["--t-end", "2.5", "--step", "1e-3"],
+        {
+            "trajectory.csv": "a216931db55cbb6eeb0efb3ff8a3d21661cdb8fb86b61fa52acdb2dc9d23aa86",
+            "bound.csv": "b116a90c6368dc008d3a4b68e8568b23c2cde74ec5b6da93dce94592fbdf3e3f",
+            "report.json": "df249e5b0bdf6168f0d97a6f6c48dce2b307dadd217319a5e0e53a12d06c3fff",
+        },
+    ),
+    # u = 1e7: the majorant stops at the solver's cap, t* = 9.005, so
+    # bound.csv holds 901 rows against trajectory.csv's 2 001.  This pins
+    # today's cut at min(len(t), len(majorant)); ROADMAP item 2 will
+    # re-pin bound.csv and report.json on purpose.
+    "cut": (
+        {"f": "10000000", "a": "0", "c0": 1e7, "b0": 0, "c1": 0, "b1": 0, "c2": 0, "b": 0, "p": 0.5},
+        ["--t-end", "20", "--step", "0.01"],
+        {
+            "trajectory.csv": "08dab0e2b90987ef8873660c39de8ff564740af7fcbef2fa6a3285a638e708a5",
+            "bound.csv": "e77677e2e6ec97e1b5713f000a3ba47ff26082b535281a5be8fe04ebc4b349bd",
+            "report.json": "e7f394f7b6573030a0ff14b850bebfc7dcabc7dc7b50445c7bdfa1bcc94bbe77",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERIFY_GOLDEN))
+def test_verify_outputs_keep_their_bytes(tmp_path, case):
+    problem, flags, digests = _VERIFY_GOLDEN[case]
+    out = tmp_path / "out"
+    path = write_problem(tmp_path / "p.json", problem)
+    assert run(["verify", "--problem", path, "--out", str(out)] + flags) == 0
+    assert {name: _sha256(out / name) for name in digests} == digests
+
+
+@pytest.mark.parametrize(
+    "t_end, digest",
+    [
+        # 1 024 and 1 025 grid nodes: one full chunk, and one row past it.
+        ("1.023", "2035f479c443c55daacbe40943c936d49561a514a70f8a0fa0d6c29df8a2066e"),
+        ("1.024", "4ebd001b8df8e51e45e89ffa351a1de97fd157542ac18045bdccac6966374f8c"),
+    ],
+)
+def test_solve_csv_at_chunk_edges_keeps_its_bytes(tmp_path, t_end, digest):
+    out = tmp_path / "out"
+    path = write_problem(tmp_path / "p.json", ATAN_PROBLEM)
+    assert run(["solve", "--problem", path, "--t-end", t_end, "--step", "1e-3", "--out", str(out)]) == 0
+    assert _sha256(out / "trajectory.csv") == digest
+
+
+def test_verify_write_failure_leaves_no_temporary_file(tmp_path, capsys):
+    # bound.csv cannot replace a directory: the one pass over both CSV
+    # files fails, and neither leaves its temporary file behind.
+    problem = write_problem(tmp_path / "p.json", ATAN_PROBLEM)
+    out = tmp_path / "out"
+    (out / "bound.csv").mkdir(parents=True)
+    code = run(["verify", "--problem", problem, "--t-end", "2", "--step", "0.01", "--out", str(out)])
+    _assert_one_line_error(capsys, code, "i/o error: ")
+    assert list(out.glob("trajectory.csv.*")) == list(out.glob("bound.csv.*")) == []
 
 
 def test_certify_refusal_prints_margin_once(tmp_path, capsys):

@@ -15,7 +15,8 @@ from volterrabound import (
     to_text,
     validate_decay,
 )
-from volterrabound.expr import ExprSyntaxError
+from volterrabound.expr import EvalDomainError, ExprSyntaxError
+from volterrabound.model import _kernel_monotone
 
 from conftest import ATAN_PROBLEM, QUADRATIC_PROBLEM, count_evaluations, write_problem
 
@@ -239,10 +240,69 @@ def test_kernel_variation_matches_the_loop_bit_for_bit(kernel):
 
 
 def test_kernel_variation_evaluates_once_per_profile(atan_spec, monkeypatch):
-    # f and f', the diagonal, a_t once per profile, and a_u once per t.
+    # f and f', the diagonal, a_t once per profile, and a_u once per
+    # block of 16 t values.
     calls = count_evaluations(monkeypatch)
     validate_decay(atan_spec, t_max=50.0, u_max=10.0)
-    assert calls["array"] <= 2 + 1 + 2 + 201
+    assert calls["array"] <= 2 + 1 + 2 + 13
+
+
+def kernel_monotone_by_loop(spec, ts, us):
+    """Reference: the kernel-monotone margins one t at a time, each on
+    its own s-grid, with the first minimum in (s, u) order."""
+    per_t = []
+    for t in ts.tolist():
+        s_nodes = np.linspace(0.0, t, 51)
+        vals = np.broadcast_to(
+            evaluate(spec.a_u, {"t": t, "s": s_nodes[:, None], "u": us[None, :]}), (51, len(us))
+        )
+        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        per_t.append((vals[i, j], s_nodes[i], us[j]))
+    minima, s_at, u_at = np.array(per_t).T
+    return minima, {"t": ts, "s": s_at, "u": u_at}
+
+
+def _margins_and_points(margins_and_point):
+    margins, point = margins_and_point
+    return margins.tobytes(), {key: axis.tobytes() for key, axis in point.items()}
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        "exp(-(t+s))*atan(u)", "sin(t-s)*u", "exp(s-t)*atan(u)", "log(1+t+s)*u^3", "t*u^2",
+        "(s-0.3*t)^2*u", "log(9.5-t)*u^2",
+    ],
+)
+def test_kernel_monotone_matches_the_loop_bit_for_bit(kernel):
+    # (s-0.3*t)^2*u has its minima inside the s-rows, where one linspace
+    # over the t column would round some s differently.  The last
+    # kernel's a_u leaves its domain from t = 9.555 on, inside the block
+    # of t values 144-159: both name the same node.
+    spec = build_problem("1", kernel, ExponentialDecayData(1, 0, 1, 0, 0.7, 0.3, 0.75))
+    ts, us = np.linspace(0.0, 13.0, 201), np.linspace(-3.5, 3.5, 41)
+    try:
+        expected = _margins_and_points(kernel_monotone_by_loop(spec, ts, us))
+    except EvalDomainError as exc:
+        with pytest.raises(EvalDomainError) as raised:
+            _kernel_monotone(spec, ts, us)
+        assert str(raised.value) == str(exc) == "log of a non-positive value in log((9.5 - t))"
+    else:
+        assert _margins_and_points(_kernel_monotone(spec, ts, us)) == expected
+
+
+def test_kernel_monotone_domain_error_names_first_failing_node_in_its_block():
+    # a_u = 2u*(log(3.1 - t) + log(3.0 - t)) fails at t = 3.0 in the
+    # second log and at t = 3.1 in the first, both in the block of t
+    # values 144-159.  The loop one t at a time named the second log; the
+    # block is evaluated at once, so its first failing node is the first.
+    spec = build_problem("1", "u^2*(log(3.1-t)+log(3.0-t))", ExponentialDecayData(1, 0, 1, 0, 1, 0, 1))
+    ts, us = np.linspace(0.0, 4.0, 201), np.linspace(-2.0, 2.0, 41)
+    with pytest.raises(EvalDomainError, match=r"in log\(\(3\.0 - t\)\)"):
+        kernel_monotone_by_loop(spec, ts, us)
+    check = validate_decay(spec, t_max=4.0, u_max=2.0).check("kernel-monotone")
+    assert check.margin == -math.inf
+    assert check.point == {"error": "log of a non-positive value in log((3.1 - t))"}
 
 
 # ---------------------------------------------------------------------------

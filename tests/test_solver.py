@@ -237,10 +237,10 @@ def test_flat_step_without_root_fails_at_once(quadratic_spec, monkeypatch):
     # zero: the attempt fails after one residual and one slope, leaving
     # the step to the caller's halving, with no |u| growth reported.
     calls = count_evaluations(monkeypatch)
-    res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 1.0, False)
-    assert not res.converged
+    converged, _, max_abs = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 1.0, False)
+    assert not converged
     assert calls["scalar"] <= 2 and calls["array"] == 0
-    assert res.max_abs == 1.0
+    assert max_abs == 1.0
 
 
 def test_start_past_the_fold_fails_at_once_with_blow_up_evidence(quadratic_spec, monkeypatch):
@@ -251,11 +251,11 @@ def test_start_past_the_fold_fails_at_once_with_blow_up_evidence(quadratic_spec,
     calls = count_evaluations(monkeypatch)
     res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 2.0, True)
     assert calls == {"array": 0, "scalar": 2}
-    assert res == solver._SolveResult(False, 2.0, 2.0)
+    assert res == (False, 2.0, 2.0)
     calls["scalar"] = 0
     res = solver._implicit_scalar(quadratic_spec, 0.5, 1.0, 0.5, 2.0, False)
     assert calls == {"array": 0, "scalar": 4}
-    assert res == solver._SolveResult(False, 1.0, 2.0)
+    assert res == (False, 1.0, 2.0)
 
 
 def _fold_stop_problems():
@@ -287,8 +287,9 @@ def test_fold_stop_ends_only_attempts_that_fail_without_it(monkeypatch):
             full = implicit(spec, t, rhs, weight, u_start, False)
             if res != full:
                 stopped.append(t)
-                assert res == solver._SolveResult(False, u_start, abs(u_start))
-                assert not (full.converged and abs(full.value) <= solver._BLOWUP_CAP)
+                assert res == (False, u_start, abs(u_start))
+                converged, value, _ = full
+                assert not (converged and abs(value) <= solver._BLOWUP_CAP)
         return res
 
     monkeypatch.setattr(solver, "_implicit_scalar", compared)
@@ -316,10 +317,10 @@ def test_fold_stop_is_not_a_proof():
     spec = build_problem("2.7224606461719154*cos(t)", "58.543202818164076*cos(u)^2*u",
                          ExponentialDecayData(1, 0, 1, 0, 0, 0, 1))
     attempt = (spec, 3.924994384996661, 2682057.8782359874, 2.6707572287065773e-07, 2682057.8017126475)
-    assert solver._implicit_scalar(*attempt, True) == solver._SolveResult(
+    assert solver._implicit_scalar(*attempt, True) == (
         False, 2682057.8017126475, 2682057.8017126475
     )
-    assert solver._implicit_scalar(*attempt, False) == solver._SolveResult(
+    assert solver._implicit_scalar(*attempt, False) == (
         True, 2682085.096567382, 2683806.778020116
     )
 
