@@ -96,6 +96,14 @@ def _certify_pipeline(
     return report, cert, data
 
 
+def _where_stopped(status: BlowUp | StepFailure) -> str:
+    """Where the solver stopped, as printed: a blow-up time to three
+    significant digits, or a step failure's time and reason."""
+    if isinstance(status, BlowUp):
+        return f"near t={status.t_star:#.3g}"
+    return f"at t={status.t:.6g}: {status.reason}"
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     spec = load_problem(args.problem)
     grid = Grid(t_end=args.t_end, h=args.step)
@@ -107,9 +115,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"completed: {len(traj.values)} nodes, u(t_end) = {traj.values[-1]:.8g}")
         return _EXIT_OK
     if isinstance(traj.status, BlowUp):
-        print(f"blow-up detected near t={traj.status.t_star:.2f}")
+        print(f"blow-up detected {_where_stopped(traj.status)}")
         return _EXIT_BLOWUP
-    print(f"step failure at t={traj.status.t:.6g}: {traj.status.reason}", file=sys.stderr)
+    print(f"step failure {_where_stopped(traj.status)}", file=sys.stderr)
     return _EXIT_ERROR
 
 
@@ -143,7 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     majorant = None
     if isinstance(traj.status, StepFailure):
         code, stream = _EXIT_ERROR, sys.stderr
-        message = f"step failure at t={traj.status.t:.6g}: {traj.status.reason}"
+        message = f"step failure {_where_stopped(traj.status)}"
     elif not (cert.certified and report.passed):
         code, stream = _EXIT_REFUSED, sys.stdout
         reasons = []
@@ -153,13 +161,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reasons.append("decay hypotheses failed validation")
         message = "; ".join(reasons)
         if isinstance(traj.status, BlowUp):
-            message += f"; solution blows up near t={traj.status.t_star:.2f}"
+            message += f"; solution blows up {_where_stopped(traj.status)}"
     elif isinstance(traj.status, BlowUp):
         # A certified problem must not blow up; report the contradiction.
         code, stream = _EXIT_REFUSED, sys.stderr
         message = (
-            f"certificate issued but the solver reports blow-up near "
-            f"t={traj.status.t_star:.2f}; check the envelope constants"
+            f"certificate issued but the solver reports blow-up "
+            f"{_where_stopped(traj.status)}; check the envelope constants"
         )
     else:
         bound_report = verify_solution_bound(traj, cert)
@@ -205,7 +213,7 @@ def cmd_demo_blowup(args: argparse.Namespace) -> int:
     k = int(round(0.5 / grid.h))
     print(f"solver: u(0.5) = {traj.values[k]:.6f} (closed form 2.0)")
     if isinstance(traj.status, BlowUp):
-        print(f"solver: blow-up detected near t={traj.status.t_star:.2f}")
+        print(f"solver: blow-up detected {_where_stopped(traj.status)}")
 
     report, cert, _ = _certify_pipeline(spec, t_max=50.0, u_max=10.0)
     _write_json(out / "certificate.json", _certificate_payload(report, cert))

@@ -194,6 +194,10 @@ class _Token:
     pos: int
 
 
+# ASCII only: str.isdigit also accepts digits such as "²" or "٣".
+_DIGITS = "0123456789"
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i, n = 0, len(text)
@@ -211,13 +215,13 @@ def _tokenize(text: str) -> list[_Token]:
         elif ch == ")":
             tokens.append(_Token("rparen", ch, i))
             i += 1
-        elif ch.isdigit() or ch == ".":
+        elif ch in _DIGITS or ch == ".":
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             if text[start:i] == ".":
                 raise ExprSyntaxError(start, "malformed number")
@@ -225,10 +229,10 @@ def _tokenize(text: str) -> list[_Token]:
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j >= n or not text[j].isdigit():
+                if j >= n or text[j] not in _DIGITS:
                     raise ExprSyntaxError(start, "malformed number")
                 i = j
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             tokens.append(_Token("number", text[start:i], start))
         elif ch.isalpha() or ch == "_":

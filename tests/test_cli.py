@@ -50,6 +50,15 @@ def test_solve_blowup_exit_code_and_message(tmp_path, capsys):
     assert "blow-up detected near t=1.00" in captured.out
     assert "# status=blowup" in (out / "trajectory.csv").read_text()
 
+    # A blow-up inside the first step of the grid keeps three significant
+    # digits of its time instead of printing t=0.00.
+    first_step = {"f": "10*exp(-t)", "a": "0.01*exp(-(t+s))*u^7",
+                  "c0": 20, "b0": 1, "c1": 0.1, "b1": 2, "c2": 0.1, "b": 1, "p": 0.5}
+    problem = write_problem(tmp_path / "first.json", first_step)
+    code = run(["solve", "--problem", problem, "--t-end", "1", "--step", "1e-6", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().out == "blow-up detected near t=1.64e-05\n"
+
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):

@@ -70,6 +70,15 @@ def test_malformed_number():
         parse("1e+ * t")
 
 
+@pytest.mark.parametrize("text", ["²", "٣*t"])
+def test_non_ascii_digit_is_an_unexpected_character(text):
+    # str.isdigit accepts both; the grammar's digits are 0-9 only.
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert err.value.message == f"unexpected character {text[0]!r}"
+    assert err.value.position == 0
+
+
 @pytest.mark.parametrize("text, position", [("1e400", 0), ("t + 2E309*u", 4), ("u^1e999", 2)])
 def test_number_overflowing_binary64_rejected(text, position):
     with pytest.raises(ExprSyntaxError) as err:
