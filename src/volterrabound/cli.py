@@ -226,8 +226,27 @@ def cmd_demo_blowup(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-# The numeric options, each declared once for every subcommand that takes
-# it; main() rejects a value that is not a positive finite number.
+class _UsageError(Exception):
+    """A command line that argparse rejects; main() prints it on one line."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own would print usage and exit 2
+        raise _UsageError(message)
+
+
+def _positive(text: str) -> float:
+    """The value of a numeric option: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
+# The numeric options, each declared once for every subcommand that takes it.
 _NUMERIC_FLAGS = {
     "--t-end": {"default": 10.0, "help": "horizon (default 10)"},
     "--step": {"default": 1e-3, "help": "grid step, must divide --t-end (default 1e-3)"},
@@ -237,7 +256,7 @@ _NUMERIC_FLAGS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="volterra",
         description=(
             "Solve nonlinear Volterra integral equations of the second kind "
@@ -252,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--problem", required=True, help="problem file (JSON)")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         for flag in flags:
-            p.add_argument(flag, type=float, **_NUMERIC_FLAGS[flag])
+            p.add_argument(flag, type=_positive, **_NUMERIC_FLAGS[flag])
 
     p_solve = sub.add_parser("solve", help="integrate the equation and export the trajectory")
     add_common(p_solve, "--t-end", "--step")
@@ -275,16 +294,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    for flag in _NUMERIC_FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and not (value > 0.0 and math.isfinite(value)):
-            print(f"{flag} must be a positive number", file=sys.stderr)
-            return _EXIT_ERROR
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ProblemFileError, ExprError, ValueError) as exc:
+    except (_UsageError, ProblemFileError, ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
     except OSError as exc:

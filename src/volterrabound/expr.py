@@ -11,6 +11,8 @@ that re-parses to an equivalent tree.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Union
@@ -171,15 +173,24 @@ class Binary(Expr):
             raise ValueError("pow exponent must be a Constant node")
 
 
+def _children(node: Expr) -> tuple:
+    if isinstance(node, Unary):
+        return (node.child,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    return ()
+
+
 def variables(e: Expr) -> frozenset[str]:
     """Set of variable names occurring in ``e``."""
     if isinstance(e, Variable):
         return frozenset((e.name,))
-    if isinstance(e, Unary):
-        return variables(e.child)
-    if isinstance(e, Binary):
-        return variables(e.left) | variables(e.right)
-    return frozenset()
+    found = frozenset()
+    # A leaf calls nothing: a frame below the deepest node lowers the nesting limit.
+    if not isinstance(e, Constant):
+        for child in _children(e):
+            found |= variables(child)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -187,163 +198,119 @@ def variables(e: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "ident" | "op" | "lparen" | "rparen" | "eof"
-    text: str
-    pos: int
+# One token after optional whitespace: a number as docs/grammar.md writes
+# it, with ASCII digits and the exponent in its own group; a word; an
+# operator or parenthesis; the end of the text; or any other character.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?P<exponent>[eE][+-]?[0-9]+)?)"
+    r"|(?P<word>\w+)|(?P<symbol>[-+*/^()])|(?P<end>\Z)|(?P<other>.))"
+)
+_BINARY_NAME = {symbol: name for name, symbol in _BINARY_SYMBOL.items()}
 
 
-# ASCII only: str.isdigit also accepts digits such as "²" or "٣".
-_DIGITS = "0123456789"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-        elif ch in _DIGITS or ch == ".":
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            if text[start:i] == ".":
-                raise ExprSyntaxError(start, "malformed number")
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j >= n or text[j] not in _DIGITS:
-                    raise ExprSyntaxError(start, "malformed number")
-                i = j
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            tokens.append(_Token("number", text[start:i], start))
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], start))
-        else:
-            raise ExprSyntaxError(i, f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", "", n))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, position)`` of each token, ending with the
+    ``end`` token at ``len(text)``.  The first bad token from the left
+    raises, so the whole text is checked before parsing starts."""
+    tokens, end = [], 0
+    while not tokens or tokens[-1][0] != "end":
+        m = _TOKEN.match(text, end)
+        kind, end = m.lastgroup, m.end()
+        token, pos = m[kind], m.start(kind)
+        # A lone ".", or an "e" after a number that starts no complete exponent
+        cut = kind == "number" and not m["exponent"] and text.startswith(("e", "E"), end)
+        if token == "." or cut:
+            raise ExprSyntaxError(pos, "malformed number")
+        # \w also matches digits other than 0-9, which start no word
+        if kind == "other" or kind == "word" and not (token[0].isalpha() or token[0] == "_"):
+            raise ExprSyntaxError(pos, f"unexpected character {token[0]!r}")
+        tokens.append((kind, token, pos))
     return tokens
 
 
 class _Parser:
-    """Recursive descent over the infix grammar.
+    """Recursive descent over the infix grammar, one method per level.
 
     Precedence, tightest first: pow (right associative), unary minus,
-    mul/div, add/sub (both left associative).
+    mul/div, add/sub (both left associative).  Operators and parentheses
+    are told apart by their text alone.
     """
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
+    def advance(self) -> tuple[str, str, int]:
         self.index += 1
-        return tok
+        return self.tokens[self.index - 1]
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(tok.pos, f"expected {what}")
-        return self.advance()
+    def expect(self, symbol: str, what: str) -> None:
+        _, text, pos = self.advance()
+        if text != symbol:
+            raise ExprSyntaxError(pos, f"expected {what}")
 
     def parse(self) -> Expr:
         e = self.additive()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ExprSyntaxError(tok.pos, f"unexpected {tok.text!r}")
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ExprSyntaxError(pos, f"unexpected {text!r}")
         return e
 
     def additive(self) -> Expr:
         e = self.multiplicative()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.multiplicative()
-            e = Binary("add" if op == "+" else "sub", e, rhs)
+        while self.peek()[1] in ("+", "-"):
+            e = Binary(_BINARY_NAME[self.advance()[1]], e, self.multiplicative())
         return e
 
     def multiplicative(self) -> Expr:
         e = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.unary()
-            e = Binary("mul" if op == "*" else "div", e, rhs)
+        while self.peek()[1] in ("*", "/"):
+            e = Binary(_BINARY_NAME[self.advance()[1]], e, self.unary())
         return e
 
     def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        if self.peek()[1] == "-":
+            self.index += 1
             return Unary("neg", self.unary())
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            exp_pos = self.peek().pos
-            exponent = self.unary()
-            if variables(exponent):
-                raise ExprSyntaxError(exp_pos, "pow exponent must be a constant expression")
-            try:
-                value = exponent.scalar(None, None, None)
-            except ExprError:
-                raise ExprSyntaxError(exp_pos, "pow exponent does not evaluate to a finite constant") from None
-            return Binary("pow", base, Constant(value))
-        return base
+        if self.peek()[1] != "^":
+            return base
+        self.index += 1
+        exp_pos = self.peek()[2]
+        exponent = self.unary()
+        if variables(exponent):
+            raise ExprSyntaxError(exp_pos, "pow exponent must be a constant expression")
+        value = exponent.quiet(None, None, None)
+        if math.isnan(value):
+            raise ExprSyntaxError(exp_pos, "pow exponent does not evaluate to a finite constant")
+        return Binary("pow", base, Constant(value))
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            value = float(tok.text)
+        kind, text, pos = self.advance()
+        if kind == "number":
+            value = float(text)
             if math.isinf(value):
-                raise ExprSyntaxError(tok.pos, "number out of range")
+                raise ExprSyntaxError(pos, "number out of range")
             return Constant(value)
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
-            if name in _FUNCTIONS:
-                self.expect("lparen", f"'(' after function '{name}'")
-                arg = self.additive()
-                self.expect("rparen", "')'")
-                return Unary(name, arg)
-            if name in VARIABLES:
-                return Variable(name)
-            if name in _NAMED_CONSTANTS:
-                return Constant(_NAMED_CONSTANTS[name])
-            raise ExprSyntaxError(tok.pos, f"unknown identifier {name!r}")
-        if tok.kind == "lparen":
-            self.advance()
-            e = self.additive()
-            self.expect("rparen", "')'")
-            return e
-        raise ExprSyntaxError(tok.pos, "expected an expression")
+        if text in VARIABLES:
+            return Variable(text)
+        if text in _NAMED_CONSTANTS:
+            return Constant(_NAMED_CONSTANTS[text])
+        if text in _FUNCTIONS:
+            self.expect("(", f"'(' after function '{text}'")
+        elif kind == "word":
+            raise ExprSyntaxError(pos, f"unknown identifier {text!r}")
+        elif text != "(":
+            raise ExprSyntaxError(pos, "expected an expression")
+        e = self.additive()  # a function's argument, or a parenthesized expression
+        self.expect(")", "')'")
+        return Unary(text, e) if text in _FUNCTIONS else e
 
 
 def parse(text: str) -> Expr:
@@ -438,14 +405,6 @@ _NEGATIVE_BASE = ("<", "negative base with a non-integer exponent")
 _UNCHECKED = ("sin", "cos", "atan", "abs")
 
 
-def _children(node: Expr) -> tuple:
-    if isinstance(node, Unary):
-        return (node.child,)
-    if isinstance(node, Binary):
-        return (node.left, node.right)
-    return ()
-
-
 def _generate(root: Expr, k: _Backend) -> Callable:
     """Turn ``root`` into one flat Python function of positional
     ``(t, s, u)``, built with :func:`compile` from :func:`_source`."""
@@ -526,27 +485,19 @@ def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
         check(node, k.nonfinite.format(value), "overflow")
         return value
 
-    uses = {}  # id(node) -> reads of its value by consumers not yet emitted
-    stack, seen = [root], set()
+    # The distinct nodes in left-to-right post-order, read twice: to count
+    # each value's consumers, then to emit each node after its operands.
+    order, seen, stack = [], set(), [(root, False)]
     while stack:
-        node = stack.pop()
-        if id(node) not in seen:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
             seen.add(id(node))
-            for child in _children(node):
-                uses[id(child)] = uses.get(id(child), 0) + 1
-                stack.append(child)
-
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in names:
-            stack.pop()
-            continue
-        pending = [child for child in _children(node) if id(child) not in names]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node)))
+    uses = Counter(id(child) for node in order for child in _children(node))
+    for node in order:
         names[id(node)] = emit(node)
         dead = []
         for child in _children(node):
@@ -589,10 +540,9 @@ def _binary(op: str, a: Expr, b: Expr) -> Expr:
         return a
     node = Binary(op, a, b)
     if isinstance(a, Constant) and isinstance(b, Constant):
-        try:
-            return Constant(node.scalar(None, None, None))
-        except ExprError:
-            pass  # folding would hide a domain error; keep the node
+        value = node.quiet(None, None, None)
+        if not math.isnan(value):  # NaN: folding would hide a domain error
+            return Constant(value)
     return node
 
 
@@ -684,33 +634,33 @@ def _summed(terms: list) -> Expr:
     return total
 
 
-def separate(e: Expr, var: str = "t") -> list[tuple[Expr, Expr]] | None:
+def separate(e: Expr) -> list[tuple[Expr, Expr]] | None:
     """Write ``e`` as a sum of products, e = sum_k outer_k * inner_k,
-    where each outer factor depends on ``var`` alone and no inner factor
-    mentions ``var``.
+    where each outer factor depends on t alone and no inner factor
+    mentions t.
 
     Sums and differences split into terms, products into factors (term by
-    term), a quotient by a divisor that does not mix ``var`` with another
+    term), a quotient by a divisor that does not mix t with another
     variable onto the matching factor, and exp of a sum into the exp of
-    its ``var`` part times the exp of the rest, so ``exp(-(t+s))`` is
-    ``exp(-t) * exp(-s)``.  Returns None when some factor mixes ``var``
+    its t part times the exp of the rest, so ``exp(-(t+s))`` is
+    ``exp(-t) * exp(-s)``.  Returns None when some factor mixes t
     with another variable (``atan(t*s)``), or when the expansion would
     exceed 64 terms.  The terms equal ``e`` up to rounding; either side
     may overflow where ``e`` does not, e.g. ``exp(s)`` from ``exp(s-t)``.
     """
     names = variables(e)
-    if var not in names:
+    if "t" not in names:
         return [(_ONE, e)]
-    if names == {var}:
+    if names == {"t"}:
         return [(e, _ONE)]
     if isinstance(e, Unary) and e.op == "neg":
-        terms = separate(e.child, var)
+        terms = separate(e.child)
         return None if terms is None else [(outer, _neg(inner)) for outer, inner in terms]
     if isinstance(e, Unary) and e.op == "exp":
-        terms = separate(e.child, var)
+        terms = separate(e.child)
         if terms is None:
             return None
-        # terms in var alone (constant inner), and terms free of var
+        # terms in t alone (constant inner), and terms free of t
         own = [term for term in terms if not variables(term[1])]
         rest = [term for term in terms if variables(term[1]) and not variables(term[0])]
         if len(own) + len(rest) < len(terms):
@@ -718,17 +668,17 @@ def separate(e: Expr, var: str = "t") -> list[tuple[Expr, Expr]] | None:
         return [(Unary("exp", _summed(own)), Unary("exp", _summed(rest)))]
     if not isinstance(e, Binary) or e.op == "pow":
         return None
-    left = separate(e.left, var)
+    left = separate(e.left)
     if left is None:
         return None
     if e.op == "div":
         divisor = variables(e.right)
-        if var not in divisor:
+        if "t" not in divisor:
             return [(outer, Binary("div", inner, e.right)) for outer, inner in left]
-        if divisor == {var}:
+        if divisor == {"t"}:
             return [(Binary("div", outer, e.right), inner) for outer, inner in left]
         return None
-    right = separate(e.right, var)
+    right = separate(e.right)
     if right is None:
         return None
     if e.op == "add":

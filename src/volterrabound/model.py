@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -265,10 +266,13 @@ def validate_decay(spec: ProblemSpec, t_max: float, u_max: float) -> ValidationR
     point; the text names the first node, in evaluation order, that
     fails on the samples evaluated together (a hypothesis's whole grid,
     or one kernel-monotone block of t values).  Identical inputs
-    produce bit-identical reports.
+    produce bit-identical reports.  ``t_max`` must be finite and
+    ``u_max`` at most half the largest float, past which the width of
+    [-u_max, u_max] overflows; otherwise this raises ValueError.
     """
-    if not (t_max > 0.0 and u_max > 0.0):
-        raise ValueError("t_max and u_max must be > 0")
+    half = sys.float_info.max / 2
+    if not (0.0 < t_max < math.inf and 0.0 < u_max <= half):
+        raise ValueError(f"t_max must be finite and > 0, and u_max in (0, {half!r}]")
 
     env = spec.envelope
     ts = np.linspace(0.0, t_max, _T_SAMPLES)
@@ -405,13 +409,15 @@ def problem_from_dict(data: dict) -> ProblemSpec:
 def load_problem(path: Union[str, Path]) -> ProblemSpec:
     """Load a problem file (JSON, schema in docs/problem-schema.md)."""
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ProblemFileError(f"{path} is not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ProblemFileError(f"{path}: expected a JSON object")
     return problem_from_dict(data)

@@ -176,7 +176,7 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     ht, hu = np.empty(256), np.empty(256)
     ht[0], hu[0] = t_cur, u_cur
     m = 1
-    terms = separate(spec.a, "t")
+    terms = separate(spec.a)
     split = terms is not None
     if split:
         outer = [phi.quiet for phi, _ in terms]

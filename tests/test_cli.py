@@ -3,10 +3,15 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volterrabound
 from volterrabound.cli import main
 
 from conftest import ATAN_PROBLEM, QUADRATIC_PROBLEM, write_problem
@@ -383,3 +388,57 @@ def test_verify_long_sum_forcing(tmp_path, capsys):
     args = ["verify", "--problem", problem, "--t-end", "0.05", "--step", "0.01"]
     assert run(args + ["--out", str(tmp_path)]) == 0
     assert "bound holds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param([], id="no-command"),
+        pytest.param(["solve"], id="no-problem"),
+        pytest.param(["solve", "--problem", "p.json", "--step", "abc"], id="step-abc"),
+        pytest.param(["solve", "--problem", "p.json", "--bogus", "1"], id="unknown-option"),
+        pytest.param(["solve", "--problem", "p.json", "--step", "-0.1"], id="negative-step"),
+    ],
+)
+def test_usage_error_is_one_line_error(capsys, args):
+    # Exit 2 is a negative verdict; a malformed command line is 1.
+    code = run(args)
+    _assert_one_line_error(capsys, code, "error: ")
+
+
+def test_problem_file_is_read_as_utf8_in_any_locale(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(ATAN_PROBLEM, note="café"), ensure_ascii=False), encoding="utf-8")
+    src = str(Path(volterrabound.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "volterrabound.cli", "certify", "--problem", str(path),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_undecodable_problem_file_is_named(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(ATAN_PROBLEM).encode("utf-16-le"))
+    code = run(["certify", "--problem", str(path), "--out", str(tmp_path)])
+    _assert_one_line_error(capsys, code, f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
+def test_deeply_nested_json_is_named(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = run(["certify", "--problem", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path} is not valid JSON: nested too deeply\n"
+
+
+def test_u_max_beyond_half_the_float_range_is_one_line_error(tmp_path, capsys):
+    problem = write_problem(tmp_path / "p.json", ATAN_PROBLEM)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["certify", "--problem", problem, "--u-max", "1e308", "--out", str(tmp_path)])
+    _assert_one_line_error(capsys, code, "error: ")
+    assert caught == []
+    assert not (tmp_path / "certificate.json").exists()

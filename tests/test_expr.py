@@ -79,6 +79,49 @@ def test_non_ascii_digit_is_an_unexpected_character(text):
     assert err.value.position == 0
 
 
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("1.2.3", 3, "unexpected '.3'"),
+        ("1e5e3", 3, "unexpected 'e3'"),
+        (".", 0, "malformed number"),
+        ("1ex", 0, "malformed number"),
+        ("t²", 0, "unknown identifier 't²'"),
+        ("½", 0, "unexpected character '½'"),
+        ("é", 0, "unknown identifier 'é'"),
+        ("_", 0, "unknown identifier '_'"),
+        ("1_0", 1, "unexpected '_0'"),
+        # The whole text is tokenized first: the lexer's error wins.
+        ("t + ) $", 6, "unexpected character '$'"),
+        ("exp t", 4, "expected '(' after function 'exp'"),
+    ],
+)
+def test_lexer_errors(text, position, message):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert (err.value.position, err.value.message) == (position, message)
+
+
+@pytest.mark.parametrize(
+    "text, printed", [("5.", "5.0"), (".5", "0.5"), ("1.e5", "100000.0"), ("t + 1", "(t + 1.0)")]
+)
+def test_lexer_numbers(text, printed):
+    assert to_text(parse(text)) == printed
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("(" * 150 + "t" + ")" * 150, id="parentheses"),
+        pytest.param("exp(" * 150 + "t" + ")" * 150, id="exp"),
+        pytest.param("-" * 900 + "t", id="minus"),
+    ],
+)
+def test_nesting_within_the_recursion_budget(text):
+    # Each parenthesis costs one frame per grammar level, each minus one.
+    assert variables(parse(text)) == {"t"}
+
+
 @pytest.mark.parametrize("text, position", [("1e400", 0), ("t + 2E309*u", 4), ("u^1e999", 2)])
 def test_number_overflowing_binary64_rejected(text, position):
     with pytest.raises(ExprSyntaxError) as err:

@@ -160,6 +160,15 @@ def test_validation_argument_checks(atan_spec):
 
 
 @pytest.mark.parametrize(
+    "t_max, u_max", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, 1e308)]
+)
+def test_validation_rejects_ranges_it_cannot_grid(atan_spec, t_max, u_max):
+    # linspace(-u_max, u_max) overflows in stop - start past half the float range.
+    with pytest.raises(ValueError):
+        validate_decay(atan_spec, t_max=t_max, u_max=u_max)
+
+
+@pytest.mark.parametrize(
     "problem, points",
     [
         (
