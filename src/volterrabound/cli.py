@@ -17,6 +17,7 @@ repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -43,6 +44,7 @@ from .model import (
     problem_from_dict,
     validate_decay,
 )
+from .model import _check_sample_ranges
 from .solver import BlowUp, Completed, Grid, StepFailure, solve, write_trajectory_csv
 from .solver import _status_fields, _trajectory_csv
 
@@ -140,6 +142,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_problem(args.problem)
+    # validate_decay would reject these only after the whole solve.
+    _check_sample_ranges(args.t_max, args.u_max)
     grid = Grid(t_end=args.t_end, h=args.step)
     traj = solve(spec, grid)
     report, cert, data = _certify_pipeline(spec, args.t_max, args.u_max)
@@ -255,6 +259,7 @@ _NUMERIC_FLAGS = {
 }
 
 
+@functools.cache  # one parser per process; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="volterra",

@@ -284,6 +284,8 @@ class _Parser:
         self.index += 1
         exp_pos = self.peek()[2]
         exponent = self.unary()
+        if isinstance(exponent, Constant):  # a literal needs no evaluator
+            return Binary("pow", base, exponent)
         if variables(exponent):
             raise ExprSyntaxError(exp_pos, "pow exponent must be a constant expression")
         value = exponent.quiet(None, None, None)
@@ -414,23 +416,52 @@ def _generate(root: Expr, k: _Backend) -> Callable:
 
 
 def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
-    """The source of ``root``'s evaluator and the namespace it runs in.
+    """The source of ``root``'s evaluator and the namespace it runs in:
+    the tree's :func:`_statements`, then the return of its value."""
+    namespace, names = _namespace(k), {}
+    body = _statements(_post_order([root]), k, namespace, names, dict(zip(VARIABLES, VARIABLES)), k.fail)
+    lines = ["def evaluator(t, s, u):", *("    " + line for line in body), f"    return {names[id(root)]}"]
+    return "\n".join(lines) + "\n", namespace
 
-    The body has one statement per node, in post-order, each followed by
-    that node's domain checks, so evaluation takes one frame however deep
-    the tree is.  A subtree that occurs twice as the same object (the
-    derivatives share them) is computed once; nodes are keyed by
-    identity, since hashing a frozen tree recurses through it.  Each
-    variable is checked where post-order first reads it.  The source is
-    built from node kinds alone: it names only its SSA values, t, s, u
-    and the namespace, which binds every constant, node and function.
-    A backend that releases its values deletes each one after the
-    statement of its last consumer, so an array evaluator holds about
+
+def _namespace(k: _Backend) -> dict:
+    return dict(k.namespace, error=EvalDomainError, math_errors=(OverflowError, ValueError))
+
+
+def _post_order(roots: list) -> list:
+    """The distinct nodes of ``roots`` in left-to-right post-order, keyed
+    by identity, since hashing a frozen tree recurses through it."""
+    order, seen, stack = [], set(), [(root, False) for root in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node)))
+    return order
+
+
+def _statements(order: list, k: _Backend, namespace: dict, names: dict, sources: dict,
+                fail: str) -> list[str]:
+    """The unindented statements of the nodes of ``order``, a post-order,
+    that ``names`` lacks.
+
+    One statement per node, each followed by that node's domain checks,
+    so evaluation takes one frame however deep the tree is.  ``names``
+    maps the id of each node computed so far to the source of its value,
+    so a subtree that occurs twice as the same object (the derivatives
+    share them) is computed once.  Each variable is checked where the
+    statements first read it.  The source is built from node kinds alone:
+    it names only its SSA values, the variables' ``sources`` and
+    ``namespace``, which gains every constant and node it names.  A
+    failed test runs ``fail``, given the node's {node} name and the
+    {message}.  A backend that releases its values deletes each one after
+    the statement of its last consumer, so an array evaluator holds about
     three arrays at a time instead of one per node.
     """
-    namespace = dict(k.namespace, error=EvalDomainError, math_errors=(OverflowError, ValueError))
-    lines = ["def evaluator(t, s, u):"]
-    names = {}  # id(node) -> the source name of its value
+    lines = []
     refs = {}  # id(node) -> the namespace name of the node, for its errors
     checked = set()  # variables already tested for finiteness
 
@@ -439,34 +470,35 @@ def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
         namespace[name] = value
         return name
 
-    def fail(node: Expr, message: str) -> str:
-        if id(node) not in refs:
+    def failed(node: Expr, message: str) -> str:
+        if "{node}" in fail and id(node) not in refs:
             refs[id(node)] = bind("n", node)
-        return k.fail.format(node=refs[id(node)], message=repr(message))
+        return fail.format(node=refs.get(id(node)), message=repr(message))
 
     def check(node: Expr, test: str, message: str) -> None:
-        lines.extend((f"    if {test}:", f"        {fail(node, message)}"))
+        lines.extend((f"if {test}:", f"    {failed(node, message)}"))
 
     def emit(node: Expr) -> str:
         if isinstance(node, Constant):
             return bind("c", node.value)
         if isinstance(node, Variable):
+            source = sources[node.name]
             if node.name not in checked:
                 checked.add(node.name)
-                check(node, k.nonfinite.format(node.name), f"non-finite binding for '{node.name}'")
-            return node.name
+                check(node, k.nonfinite.format(source), f"non-finite binding for '{node.name}'")
+            return source
         value = f"v{len(names)}"
         operands = [names[id(child)] for child in _children(node)]
         if isinstance(node, Unary) and node.op == "neg":
-            lines.append(f"    {value} = -{operands[0]}")
+            lines.append(f"{value} = -{operands[0]}")
             return value
         if isinstance(node, Unary) and node.op in _UNCHECKED:
-            lines.append(f"    {value} = {node.op}({operands[0]})")
+            lines.append(f"{value} = {node.op}({operands[0]})")
             return value
         if isinstance(node, Binary) and node.op != "pow":
             if node.op == "div":
                 check(node, k.anywhere.format(f"{operands[1]} == 0.0"), "division by zero")
-            lines.append(f"    {value} = {operands[0]} {_BINARY_SYMBOL[node.op]} {operands[1]}")
+            lines.append(f"{value} = {operands[0]} {_BINARY_SYMBOL[node.op]} {operands[1]}")
         else:
             if isinstance(node, Binary):  # pow; the exponent is a Constant by construction
                 c = node.right.value
@@ -480,24 +512,16 @@ def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
             for comparison, message in rules:
                 check(node, k.anywhere.format(f"{operands[0]} {comparison} 0.0"), message)
             # math raises where numpy returns inf
-            lines.extend(("    try:", f"        {value} = {call}", "    except math_errors:",
-                          f"        {fail(node, 'overflow')}"))
+            lines.extend(("try:", f"    {value} = {call}", "except math_errors:",
+                          f"    {failed(node, 'overflow')}"))
         check(node, k.nonfinite.format(value), "overflow")
         return value
 
-    # The distinct nodes in left-to-right post-order, read twice: to count
-    # each value's consumers, then to emit each node after its operands.
-    order, seen, stack = [], set(), [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(_children(node)))
+    # Consumers counted first, so that each value is released after its last.
     uses = Counter(id(child) for node in order for child in _children(node))
     for node in order:
+        if id(node) in names:
+            continue
         names[id(node)] = emit(node)
         dead = []
         for child in _children(node):
@@ -505,9 +529,34 @@ def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
             if uses[id(child)] == 0 and isinstance(child, (Unary, Binary)):
                 dead.append(names[id(child)])
         if k.release and dead:
-            lines.append(f"    del {', '.join(dead)}")
-    lines.append(f"    return {names[id(root)]}")
-    return "\n".join(lines) + "\n", namespace
+            lines.append(f"del {', '.join(dead)}")
+    return lines
+
+
+# Inline evaluation, for the solver's generated step functions: the quiet
+# backend's statements in the caller's own function and namespace.
+
+
+def _inline(root: Expr, target: str, sources: dict, namespace: dict, names: dict = None) -> list[str]:
+    """A ``while True`` block that sets the local ``target`` to the value
+    of ``root``, or to NaN at its first failed test, which leaves the
+    block at once.  ``names`` holds the values :func:`_hoist` computed."""
+    names = dict(names or ())
+    body = _statements(_post_order([root]), _QUIET, namespace, names, sources, f"{target} = nan; break")
+    return ["while True:", *("    " + line for line in body), f"    {target} = {names[id(root)]}", "    break"]
+
+
+def _hoist(roots: list, sources: dict, namespace: dict, fail: str) -> tuple[list, dict]:
+    """The statements of the nodes of ``roots`` that do not read u, a
+    failed test running ``fail``, and the names of their values."""
+    order, reads = _post_order(roots), set()
+    for node in order:
+        if (node.name == "u" if isinstance(node, Variable)
+                else any(id(child) in reads for child in _children(node))):
+            reads.add(id(node))
+    names = {}
+    free = [node for node in order if id(node) not in reads]
+    return _statements(free, _QUIET, namespace, names, sources, fail), names
 
 
 # ---------------------------------------------------------------------------

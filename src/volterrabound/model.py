@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
@@ -58,6 +59,7 @@ _T_SAMPLES = 201
 _U_SAMPLES = 41
 _MONOTONE_S_SAMPLES = 51
 _MONOTONE_BLOCK = 16  # t values per evaluation of a_u
+_PROBLEM_CACHE = 32  # problems build_problem keeps per process
 
 
 class VariableScopeError(ValueError):
@@ -170,6 +172,14 @@ class ProblemSpec:
     a_u: Expr
     envelope: ExponentialDecayData
 
+    # Kept in the instance __dict__, as Expr keeps its evaluators.
+    @cached_property
+    def _stepper(self):
+        """The solver's step functions, generated on first use."""
+        from .solver import _Stepper
+
+        return _Stepper(self)
+
 
 def build_problem(f_text: str, a_text: str, envelope: ExponentialDecayData) -> ProblemSpec:
     """Parse the forcing and kernel, derive f', a_t and a_u symbolically.
@@ -178,7 +188,18 @@ def build_problem(f_text: str, a_text: str, envelope: ExponentialDecayData) -> P
     envelope's decay rates b0, b1 and b must be >= 0 (ValueError).  Parse
     errors bubble up as :class:`ExprSyntaxError`, scope violations raise
     :class:`VariableScopeError`.
+
+    Equal arguments (constants compared by repr, so 1 and 1.0 differ)
+    return the same shared, immutable spec, with whatever it has
+    generated: the last 32 problems are kept per process.
     """
+    return _build_problem(f_text, a_text, envelope, repr(envelope))
+
+
+@lru_cache(maxsize=_PROBLEM_CACHE)
+def _build_problem(f_text, a_text, envelope, envelope_repr) -> ProblemSpec:
+    """:func:`build_problem`, cached; ``envelope_repr`` keeps equal
+    envelopes with different reprs apart."""
     for name in ("b0", "b1", "b"):
         if not (getattr(envelope, name) >= 0.0):
             raise ValueError(f"{name} must be >= 0")
@@ -251,6 +272,13 @@ def _json_float(x: Optional[float]):
     return x if math.isfinite(x) else repr(x)
 
 
+def _check_sample_ranges(t_max: float, u_max: float) -> None:
+    """The ranges :func:`validate_decay` can sample, or ValueError."""
+    half = sys.float_info.max / 2
+    if not (0.0 < t_max < math.inf and 0.0 < u_max <= half):
+        raise ValueError(f"t_max must be finite and > 0, and u_max in (0, {half!r}]")
+
+
 def validate_decay(spec: ProblemSpec, t_max: float, u_max: float) -> ValidationReport:
     """Sample the decay hypotheses on a deterministic grid.
 
@@ -270,10 +298,7 @@ def validate_decay(spec: ProblemSpec, t_max: float, u_max: float) -> ValidationR
     ``u_max`` at most half the largest float, past which the width of
     [-u_max, u_max] overflows; otherwise this raises ValueError.
     """
-    half = sys.float_info.max / 2
-    if not (0.0 < t_max < math.inf and 0.0 < u_max <= half):
-        raise ValueError(f"t_max must be finite and > 0, and u_max in (0, {half!r}]")
-
+    _check_sample_ranges(t_max, u_max)
     env = spec.envelope
     ts = np.linspace(0.0, t_max, _T_SAMPLES)
     us = np.linspace(-u_max, u_max, _U_SAMPLES)

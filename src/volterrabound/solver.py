@@ -23,19 +23,23 @@ Cost: when the kernel separates as a = sum_k phi_k(t) * psi_k(s, u)
 sum of psi_k per term, so N nodes cost O(N) kernel evaluations.  Other
 kernels, and separable ones after a factor has left its domain or
 overflowed, are summed over every stored node at every attempt: O(N^2).
-The scalar work (f, Newton's residual and slope, the running sums) calls
-each tree's generated ``Expr.quiet`` function with positional floats,
-one Python frame per evaluation, a domain failure being NaN; only the
-sum over the history goes through ``evaluate``, once per attempt.  Each
-attempt's Newton result is a plain tuple, the cheapest object Python
-builds for it.
+The scalar work calls no evaluator: on its first solve each problem
+generates three step functions (``_Stepper``, kept on the spec) with
+every tree written inline as the quiet evaluator's statements, a domain
+failure being NaN.  ``prelude`` gives an attempt's f and its lag from
+the running sums, ``newton`` is the body of :func:`_implicit_scalar`,
+and ``push`` adds an accepted node to the sums.  The part of a(t, t, u)
+and a_u(t, t, u) that does not read u, such as exp(-(t+t)), is computed
+once per attempt, not at every residual.  Each function counts its
+evaluations in a local and adds them to ``_Stepper.evaluations`` once
+per call.  Only the sum over the history goes through ``evaluate``, once
+per attempt.  Each attempt's Newton result is a plain tuple.
 
 Structure: the march is one loop in :func:`solve`, which holds the grid
-nodes, the local halving and refinement, each attempt's f and lag, and
-the running sums as local lists.  Each attempt makes one call, to
-:func:`_implicit_scalar`, which writes the residual and the slope out
-at each use.  Python call overhead, not kernel work, bounds the
-stepping, so no helper frame runs per node or per residual.
+nodes, the local halving and refinement, and the running sums as local
+lists.  An attempt calls ``prelude`` and :func:`_implicit_scalar`, an
+accepted one ``push``.  Python call overhead, not kernel work, bounds
+the stepping, so no frame runs per residual.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from typing import Union
 
 import numpy as np
 
-from .expr import EvalDomainError, evaluate, separate
+from .expr import _QUIET, EvalDomainError, _hoist, _inline, _namespace, evaluate, separate
 from .ioutil import write_csv_atomic
 from .model import ProblemSpec
 
@@ -169,20 +173,24 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     runs over the stored nodes from then on.  f goes first, so the sums
     are dropped at the same attempt with or without the fold stop.
     """
-    f = spec.f.quiet
-    t_cur, u_cur = 0.0, spec.f.scalar(0.0, None, None)
+    stepper = spec._stepper
+    prelude, push = stepper.prelude, stepper.push
+    u_cur, _ = prelude(0.0, 0.0, None, None)
+    if u_cur != u_cur:
+        spec.f.scalar(0.0, None, None)  # raises the domain error
+    t_cur = 0.0
     # The history in amortized-growth arrays, so the direct quadrature
     # reads contiguous views instead of converting lists every attempt.
     ht, hu = np.empty(256), np.empty(256)
     ht[0], hu[0] = t_cur, u_cur
     m = 1
-    terms = separate(spec.a)
-    split = terms is not None
-    if split:
-        outer = [phi.quiet for phi, _ in terms]
-        inner = [psi.quiet for _, psi in terms]
-        closed = [0.0] * len(terms)
-        last = [psi(None, t_cur, u_cur) for psi in inner]
+    closed = last = None  # the running sums, while they serve
+    if stepper.terms is not None:
+        closed, last = [0.0] * stepper.terms, [0.0] * stepper.terms
+        # With half = 0 this sets last[k] = psi_k(0, u_0), and closed[k]
+        # stays 0.0 unless last[k] is not finite, which drops the sums at
+        # the first lag either way.
+        push(t_cur, u_cur, 0.0, closed, last)
     values = [u_cur]
     status: Status | None = None
 
@@ -198,16 +206,10 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
                 t_cand = target if h_loc == h_full else t_cur + h_loc
                 half = 0.5 * (t_cand - t_cur)
                 res = _FAILED
-                fval = f(t_cand, None, None)
+                fval, lag = prelude(t_cand, half, closed, last)
                 if fval == fval:
-                    lag = None
-                    if split:
-                        lag = 0.0
-                        for phi, c, l in zip(outer, closed, last):
-                            lag += phi(t_cand, None, None) * (c + half * l)
-                        if not math.isfinite(lag):
-                            split = False
-                            lag = None
+                    if lag is not None and not math.isfinite(lag):
+                        closed = last = lag = None
                     if lag is None:
                         try:
                             lag = _direct_lag(spec, ht[:m], hu[:m], t_cand)
@@ -240,11 +242,8 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
             ht[m] = t_cur = t_cand
             hu[m] = u_cur = u_new
             m += 1
-            if split:
-                for k, psi in enumerate(inner):
-                    new = psi(None, t_cand, u_new)
-                    closed[k] += half * (last[k] + new)
-                    last[k] = new
+            if closed is not None:
+                push(t_cand, u_new, half, closed, last)
             subnodes += 1
             if subnodes > _MAX_SUBNODES and t_cur < target:
                 status = StepFailure(t=t_cur, reason="local refinement budget exhausted")
@@ -281,7 +280,7 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, blowup_evidence) -> tuple[bo
     accepted root was found, the last iterate (the root when converged),
     and the largest |u| seen among the iterates, the blow-up evidence.
     A plain tuple, because a named one took about ten times as long to
-    build, once per attempt.
+    build, once per attempt.  The problem's generated ``newton`` runs it.
 
     The residual is u - rhs - weight * a(t, t, u) and the slope
     1 - weight * a_u(t, t, u), written out at each use.  Newton stops
@@ -311,42 +310,111 @@ def _implicit_scalar(spec, t, rhs, weight, u_start, blowup_evidence) -> tuple[bo
     max_abs >= |u| holds throughout: each iterate is a trial, and each
     trial enters max_abs before it can be taken.
     """
-    a, a_u = spec.a.quiet, spec.a_u.quiet
-    max_abs = abs(u_start)
-    u = u_start
-    fu = u - rhs - weight * a(t, t, u)
-    if fu != fu:
-        return False, u, max_abs
+    return spec._stepper.newton(t, rhs, weight, u_start, blowup_evidence)
 
-    d = None  # slope at the Newton iterate the current u was reached from
-    for _ in range(_NEWTON_ITERATIONS):
-        if abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
-            break
-        first = d is None
-        d = 1.0 - weight * a_u(t, t, u)
-        if first and blowup_evidence and not d > 0.0:
+
+# The body of _implicit_scalar.  Each upper-case line becomes the
+# statements of a tree at a point; HOISTED computes the part of a and a_u
+# that does not read u, where a failure would make every residual NaN.
+_NEWTON = """\
+def newton(t, rhs, weight, u_start, blowup_evidence):
+    n = 0
+    try:
+        HOISTED
+        max_abs = abs(u_start)
+        u = u_start
+        A_AT_U
+        n = 1
+        fu = u - rhs - weight * a
+        if fu != fu:
             return False, u, max_abs
-        if not math.isfinite(d) or abs(d) < _DERIVATIVE_FLOOR:
-            return False, u, max_abs
-        step = fu / d
-        size = abs(fu)
-        for _ in range(30):
-            trial = u - step
-            ft = trial - rhs - weight * a(t, t, trial)
-            if abs(trial) > max_abs:  # as max(max_abs, |trial|), NaN included
-                max_abs = abs(trial)
-            if abs(ft) < size:  # false for a NaN or infinite ft
-                u, fu = trial, ft
+        d = None  # slope at the Newton iterate the current u was reached from
+        for _ in range(_NEWTON_ITERATIONS):
+            if abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
                 break
-            step *= 0.5
+            first = d is None
+            A_U_AT_U
+            n += 1
+            d = 1.0 - weight * a_u
+            if first and blowup_evidence and not d > 0.0:
+                return False, u, max_abs
+            if not isfinite(d) or abs(d) < _DERIVATIVE_FLOOR:
+                return False, u, max_abs
+            step = fu / d
+            size = abs(fu)
+            for _ in range(30):
+                trial = u - step
+                A_AT_TRIAL
+                n += 1
+                ft = trial - rhs - weight * a
+                if abs(trial) > max_abs:  # as max(max_abs, |trial|), NaN included
+                    max_abs = abs(trial)
+                if abs(ft) < size:  # false for a NaN or infinite ft
+                    u, fu = trial, ft
+                    break
+                step *= 0.5
+            else:
+                return False, u, max_abs
         else:
-            return False, u, max_abs
-    else:
-        if not abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
-            return False, u, max_abs
-    if d is None:
-        d = 1.0 - weight * a_u(t, t, u)
-    return d > 0.0, u, max_abs
+            if not abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
+                return False, u, max_abs
+        if d is None:
+            A_U_AT_U
+            n += 1
+            d = 1.0 - weight * a_u
+        return d > 0.0, u, max_abs
+    finally:
+        stepper.evaluations += n
+"""
+
+
+class _Stepper:
+    """One problem's step functions, each tree written inline:
+    ``prelude(t, half, closed, last)`` gives f(t) and, if f(t) is not NaN
+    and the sums are given, the lag sum_k phi_k(t)*(closed[k] + half*last[k])
+    from 0.0, else None; ``newton`` is :func:`_implicit_scalar`'s body;
+    ``push(s, u, half, closed, last)`` adds the accepted node (s, u) to the
+    sums.  ``evaluations`` counts their evaluations of f, phi_k, psi_k, a
+    and a_u; ``terms`` is the separated kernel's term count, or None."""
+
+    def __init__(self, spec):
+        self.evaluations = 0
+        terms = separate(spec.a)
+        self.terms = None if terms is None else len(terms)
+        namespace = _namespace(_QUIET)
+        at_t, at_node = {"t": "t"}, {"s": "s", "u": "u"}
+        prelude = [*_inline(spec.f, "fval", at_t, namespace),
+                   "if fval != fval or closed is None:",
+                   "    stepper.evaluations += 1",
+                   "    return fval, None",
+                   "lag = 0.0"]
+        push = []
+        for k, (phi, psi) in enumerate(terms or ()):
+            prelude += [*_inline(phi, "phi", at_t, namespace),
+                        f"lag += phi * (closed[{k}] + half * last[{k}])"]
+            push += [*_inline(psi, "psi", at_node, namespace),
+                     f"closed[{k}] += half * (last[{k}] + psi)", f"last[{k}] = psi"]
+        prelude += [f"stepper.evaluations += {1 + (self.terms or 0)}", "return fval, lag"]
+        push.append(f"stepper.evaluations += {self.terms or 0}")
+
+        diagonal = {"t": "t", "s": "t"}
+        hoisted, names = _hoist([spec.a, spec.a_u], diagonal, namespace,
+                                "n = 1; return False, u_start, abs(u_start)")
+        blocks = {
+            "HOISTED": hoisted,
+            "A_AT_U": _inline(spec.a, "a", {**diagonal, "u": "u"}, namespace, names),
+            "A_AT_TRIAL": _inline(spec.a, "a", {**diagonal, "u": "trial"}, namespace, names),
+            "A_U_AT_U": _inline(spec.a_u, "a_u", {**diagonal, "u": "u"}, namespace, names),
+        }
+        source = ["def prelude(t, half, closed, last):", *("    " + line for line in prelude),
+                  "def push(s, u, half, closed, last):", *("    " + line for line in push)]
+        for line in _NEWTON.splitlines():
+            indent, key = line[: len(line) - len(line.lstrip())], line.strip()
+            source += [indent + text for text in blocks[key]] if key in blocks else [line]
+        namespace.update(stepper=self, isfinite=math.isfinite, _NEWTON_TOL=_NEWTON_TOL,
+                         _NEWTON_ITERATIONS=_NEWTON_ITERATIONS, _DERIVATIVE_FLOOR=_DERIVATIVE_FLOOR)
+        exec(compile("\n".join(source) + "\n", "<stepper>", "exec"), namespace)
+        self.prelude, self.newton, self.push = (namespace[name] for name in ("prelude", "newton", "push"))
 
 
 # ---------------------------------------------------------------------------

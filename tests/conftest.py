@@ -120,7 +120,8 @@ def count_evaluations(monkeypatch):
     here to the end of the test: ``Expr.scalar``, ``Expr.quiet`` and
     ``Expr.array`` hand out counting wrappers of the cached functions,
     and the two scalar evaluators count as "scalar".  In the solver each
-    array call is a sum over the whole history."""
+    array call is a sum over the whole history; its scalar evaluations
+    are written inline and call nothing, so :func:`tally` counts them."""
     calls = {"array": 0, "scalar": 0}
     for attribute, kind in (("array", "array"), ("scalar", "scalar"), ("quiet", "scalar")):
         cached = getattr(Expr, attribute)
@@ -136,3 +137,12 @@ def count_evaluations(monkeypatch):
 
         monkeypatch.setattr(Expr, attribute, property(counted))
     return calls
+
+
+def tally(spec):
+    """A function that returns how many evaluations of f, phi_k, psi_k, a
+    and a_u the solver's generated step functions for ``spec`` have made
+    since this call.  Equal problems share one spec, so only the
+    difference says what a test did."""
+    start = spec._stepper.evaluations
+    return lambda: spec._stepper.evaluations - start

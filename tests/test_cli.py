@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import volterrabound
+from volterrabound import cli
 from volterrabound.cli import main
 
 from conftest import ATAN_PROBLEM, QUADRATIC_PROBLEM, write_problem
@@ -245,6 +246,47 @@ def test_solve_csv_at_chunk_edges_keeps_its_bytes(tmp_path, t_end, digest):
     path = write_problem(tmp_path / "p.json", ATAN_PROBLEM)
     assert run(["solve", "--problem", path, "--t-end", t_end, "--step", "1e-3", "--out", str(out)]) == 0
     assert _sha256(out / "trajectory.csv") == digest
+
+
+@pytest.mark.parametrize(
+    "problem, flags, names",
+    [
+        pytest.param({"f": "1.0", "a": "u^2.5", "c0": 1, "b0": 0, "c1": 1, "b1": 0, "c2": 0, "b": 0,
+                      "p": 1.25}, ["solve", "--t-end", repr(4.0 / 3.0), "--step", repr(2.0 / 3000.0)],
+                     ["trajectory.csv"], id="solve-blowup"),
+        pytest.param(ATAN_PROBLEM, ["verify", "--t-end", "2.5"],
+                     ["trajectory.csv", "bound.csv", "report.json"], id="verify-readme"),
+    ],
+)
+def test_cold_and_warm_runs_write_the_same_bytes(tmp_path, problem, flags, names):
+    # Two runs in one process, the second on the spec and generated step
+    # functions the first left in the problem cache, and one in a fresh
+    # interpreter, which builds everything anew.
+    path = write_problem(tmp_path / "p.json", problem)
+    args = flags + ["--problem", path, "--out"]
+    codes = [run(args + [str(tmp_path / name)]) for name in ("warm1", "warm2")]
+    assert volterrabound.load_problem(path) is volterrabound.load_problem(path)
+    src = str(Path(volterrabound.__file__).parents[1])
+    cold = subprocess.run([sys.executable, "-m", "volterrabound.cli", *args, str(tmp_path / "cold")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+    assert codes == [cold.returncode] * 2
+    for name in names:
+        assert (tmp_path / "warm1" / name).read_bytes() == (tmp_path / "warm2" / name).read_bytes()
+        assert (tmp_path / "warm1" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
+def test_verify_checks_its_sample_ranges_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solve ran before the range check")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    problem = write_problem(tmp_path / "p.json", ATAN_PROBLEM)
+    code = run(["verify", "--problem", problem, "--u-max", "1e308", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: t_max must be finite and > 0, and u_max in (0, 8.988465674311579e+307]\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_write_failure_leaves_no_temporary_file(tmp_path, capsys):

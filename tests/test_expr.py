@@ -175,6 +175,17 @@ def test_non_constant_exponent_rejected():
     assert evaluate(parse("u^(1+1)"), {"u": 3.0}) == 9.0
 
 
+def test_literal_exponent_generates_no_evaluator(monkeypatch):
+    generated = []
+    generate = expr_module._generate
+    monkeypatch.setattr(expr_module, "_generate", lambda *args: generated.append(args) or generate(*args))
+    assert parse("u^2.5") == Binary("pow", Variable("u"), Constant(2.5))
+    assert generated == []
+    # A compound exponent is still evaluated, once.
+    assert parse("u^-2") == Binary("pow", Variable("u"), Constant(-2.0))
+    assert len(generated) == 1
+
+
 def test_pow_node_requires_constant_exponent():
     with pytest.raises(ValueError):
         Binary("pow", Variable("u"), Variable("s"))
