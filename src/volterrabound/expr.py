@@ -183,14 +183,17 @@ def _children(node: Expr) -> tuple:
 
 def variables(e: Expr) -> frozenset[str]:
     """Set of variable names occurring in ``e``."""
-    if isinstance(e, Variable):
-        return frozenset((e.name,))
-    found = frozenset()
-    # A leaf calls nothing: a frame below the deepest node lowers the nesting limit.
-    if not isinstance(e, Constant):
-        for child in _children(e):
-            found |= variables(child)
-    return found
+    return _variable_sets([e])[id(e)]
+
+
+def _variable_sets(roots: list) -> dict:
+    """The variables each distinct node of ``roots`` reads, keyed by
+    identity, from one post-order pass."""
+    sets = {}
+    for node in _post_order(roots):
+        sets[id(node)] = (frozenset((node.name,)) if isinstance(node, Variable)
+                          else frozenset().union(*[sets[id(child)] for child in _children(node)]))
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +552,8 @@ def _inline(root: Expr, target: str, sources: dict, namespace: dict, names: dict
 def _hoist(roots: list, sources: dict, namespace: dict, fail: str) -> tuple[list, dict]:
     """The statements of the nodes of ``roots`` that do not read u, a
     failed test running ``fail``, and the names of their values."""
-    order, reads = _post_order(roots), set()
-    for node in order:
-        if (node.name == "u" if isinstance(node, Variable)
-                else any(id(child) in reads for child in _children(node))):
-            reads.add(id(node))
-    names = {}
-    free = [node for node in order if id(node) not in reads]
+    sets, names = _variable_sets(roots), {}
+    free = [node for node in _post_order(roots) if "u" not in sets[id(node)]]
     return _statements(free, _QUIET, namespace, names, sources, fail), names
 
 
@@ -696,38 +694,54 @@ def separate(e: Expr) -> list[tuple[Expr, Expr]] | None:
     with another variable (``atan(t*s)``), or when the expansion would
     exceed 64 terms.  The terms equal ``e`` up to rounding; either side
     may overflow where ``e`` does not, e.g. ``exp(s)`` from ``exp(s-t)``.
+
+    The variables of each node are looked up, not recomputed: one
+    :func:`_variable_sets` pass covers ``e``, and each node the split
+    builds is added once, so the time is linear in the size of ``e``.
     """
-    names = variables(e)
+    sets, built = _variable_sets([e]), []  # built keeps the added nodes, and so their ids, alive
+
+    def reads(node: Expr) -> frozenset[str]:
+        if id(node) not in sets:
+            built.append(node)
+            sets[id(node)] = frozenset().union(*map(reads, _children(node)))
+        return sets[id(node)]
+
+    return _separate(e, reads)
+
+
+def _separate(e: Expr, reads: Callable) -> list[tuple[Expr, Expr]] | None:
+    names = reads(e)
     if "t" not in names:
         return [(_ONE, e)]
     if names == {"t"}:
         return [(e, _ONE)]
     if isinstance(e, Unary) and e.op == "neg":
-        terms = separate(e.child)
+        terms = _separate(e.child, reads)
         return None if terms is None else [(outer, _neg(inner)) for outer, inner in terms]
     if isinstance(e, Unary) and e.op == "exp":
-        terms = separate(e.child)
+        terms = _separate(e.child, reads)
         if terms is None:
             return None
         # terms in t alone (constant inner), and terms free of t
-        own = [term for term in terms if not variables(term[1])]
-        rest = [term for term in terms if variables(term[1]) and not variables(term[0])]
+        own = [term for term in terms if not reads(term[1])]
+        rest = [term for term in terms if reads(term[1]) and not reads(term[0])]
         if len(own) + len(rest) < len(terms):
             return None
         return [(Unary("exp", _summed(own)), Unary("exp", _summed(rest)))]
     if not isinstance(e, Binary) or e.op == "pow":
         return None
-    left = separate(e.left)
+    left = _separate(e.left, reads)
     if left is None:
         return None
     if e.op == "div":
-        divisor = variables(e.right)
+        divisor = reads(e.right)
         if "t" not in divisor:
             return [(outer, Binary("div", inner, e.right)) for outer, inner in left]
         if divisor == {"t"}:
             return [(Binary("div", outer, e.right), inner) for outer, inner in left]
         return None
-    right = separate(e.right)
+    right = _separate(e.right, reads)
     if right is None:
         return None
     if e.op == "add":

@@ -27,8 +27,9 @@ The scalar work calls no evaluator: on its first solve each problem
 generates three step functions (``_Stepper``, kept on the spec) with
 every tree written inline as the quiet evaluator's statements, a domain
 failure being NaN.  ``prelude`` gives an attempt's f and its lag from
-the running sums, ``newton`` is the body of :func:`_implicit_scalar`,
-and ``push`` adds an accepted node to the sums.  The part of a(t, t, u)
+the running sums (NaN without them), ``newton`` solves its implicit
+equation (template ``_NEWTON``, whose comment states its contract), and
+``push`` adds an accepted node to the sums.  The part of a(t, t, u)
 and a_u(t, t, u) that does not read u, such as exp(-(t+t)), is computed
 once per attempt, not at every residual.  Each function counts its
 evaluations in a local and adds them to ``_Stepper.evaluations`` once
@@ -37,9 +38,10 @@ per attempt.  Each attempt's Newton result is a plain tuple.
 
 Structure: the march is one loop in :func:`solve`, which holds the grid
 nodes, the local halving and refinement, and the running sums as local
-lists.  An attempt calls ``prelude`` and :func:`_implicit_scalar`, an
-accepted one ``push``.  Python call overhead, not kernel work, bounds
-the stepping, so no frame runs per residual.
+lists.  It calls the three step functions directly: an attempt calls
+``prelude`` and ``newton``, an accepted one ``push``.  Python call
+overhead, not kernel work, bounds the stepping, so no frame runs per
+residual, and none between ``solve`` and the step functions.
 """
 
 from __future__ import annotations
@@ -139,10 +141,6 @@ class Trajectory:
         return self.grid.times()[: len(self.values)]
 
 
-# An attempt that failed before Newton, as (converged, value, max_abs).
-_FAILED = (False, 0.0, 0.0)
-
-
 def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     """March the discretized equation across the grid.
 
@@ -159,22 +157,24 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     remains consistent; only grid nodes are reported.  ``evidence`` says
     that an earlier, longer attempt at this node reached |u| > 1e8; it
     decides BlowUp against StepFailure, and each later attempt at the
-    node gets it for the fold stop of :func:`_implicit_scalar`.
+    node gets it for the fold stop of ``newton``.
 
-    An attempt computes f, then the lag, then calls ``_implicit_scalar``;
-    a domain failure (NaN from f, or a raise from the direct quadrature)
-    fails it before Newton.  For a separable kernel, ``closed[k]`` is the
-    integral of psi_k over the closed segments between accepted nodes
-    and ``last[k]`` is psi_k at the last accepted node, whose right half
-    weight depends on the attempted step, so the lag at t is sum_k
-    phi_k(t) * (closed[k] + half * last[k]).  The first lag from the sums
-    that is not finite (a factor leaving its domain, NaN, or overflowing
-    where the kernel does not) drops them for good, and the quadrature
-    runs over the stored nodes from then on.  f goes first, so the sums
+    An attempt computes f, then the lag, then calls ``newton``; a domain
+    failure (NaN from f, or a raise from the direct quadrature) makes
+    the right-hand side NaN, which fails it before Newton.  For a
+    separable kernel, ``closed[k]`` is the integral of psi_k over the
+    closed segments between accepted nodes and ``last[k]`` is psi_k at
+    the last accepted node, whose right half weight depends on the
+    attempted step, so the lag at t is sum_k phi_k(t) * (closed[k] +
+    half * last[k]).  The first lag from the sums that is not finite (a
+    factor leaving its domain, NaN, or overflowing where the kernel does
+    not) drops them for good, and the quadrature runs over the stored
+    nodes from then on; without sums ``prelude`` gives a NaN lag, so one
+    test serves both.  f goes first, and a NaN f keeps the sums, so they
     are dropped at the same attempt with or without the fold stop.
     """
     stepper = spec._stepper
-    prelude, push = stepper.prelude, stepper.push
+    prelude, newton, push = stepper.prelude, stepper.newton, stepper.push
     u_cur, _ = prelude(0.0, 0.0, None, None)
     if u_cur != u_cur:
         spec.f.scalar(0.0, None, None)  # raises the domain error
@@ -205,19 +205,14 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
                 # must not perturb where f and the kernel are sampled.
                 t_cand = target if h_loc == h_full else t_cur + h_loc
                 half = 0.5 * (t_cand - t_cur)
-                res = _FAILED
                 fval, lag = prelude(t_cand, half, closed, last)
-                if fval == fval:
-                    if lag is not None and not math.isfinite(lag):
-                        closed = last = lag = None
-                    if lag is None:
-                        try:
-                            lag = _direct_lag(spec, ht[:m], hu[:m], t_cand)
-                        except EvalDomainError:
-                            pass
-                    if lag is not None:
-                        res = _implicit_scalar(spec, t_cand, fval + lag, half, u_cur, evidence)
-                converged, u_new, max_abs = res
+                if fval == fval and not math.isfinite(lag):
+                    closed = last = None
+                    try:
+                        lag = _direct_lag(spec, ht[:m], hu[:m], t_cand)
+                    except EvalDomainError:
+                        lag = math.nan
+                converged, u_new, max_abs = newton(t_cand, fval + lag, half, u_cur, evidence)
                 if converged and abs(u_new) <= _BLOWUP_CAP:
                     break
                 if max_abs > _BLOWUP_CAP:  # max_abs >= |u_new|
@@ -273,51 +268,50 @@ def _direct_lag(spec, ht, hu, t_new) -> float:
     return float(np.dot(w, np.broadcast_to(evaluate(spec.a, {"t": t_new, "s": ht, "u": hu}), (m,))))
 
 
-def _implicit_scalar(spec, t, rhs, weight, u_start, blowup_evidence) -> tuple[bool, float, float]:
-    """Solve u = rhs + weight * a(t, t, u) by damped Newton from u_start.
-
-    Returns the plain tuple ``(converged, value, max_abs)``: whether an
-    accepted root was found, the last iterate (the root when converged),
-    and the largest |u| seen among the iterates, the blow-up evidence.
-    A plain tuple, because a named one took about ten times as long to
-    build, once per attempt.  The problem's generated ``newton`` runs it.
-
-    The residual is u - rhs - weight * a(t, t, u) and the slope
-    1 - weight * a_u(t, t, u), written out at each use.  Newton stops
-    without a root where the start residual is NaN, the slope is flat
-    or not finite (a NaN from a or a_u is a domain failure), 30 halvings
-    of its step find no decrease of the residual, or its iterations run
-    out.  The attempt then fails with the largest |u| reached so far,
-    and the caller halves the step.
-
-    A root is accepted only where the residual increases through it,
-    slope > 0, as on the branch that continues the solution from the
-    last node.  Elsewhere, such as the far root an odd power always
-    has, the attempt fails with |u| as blow-up evidence.  The slope
-    Newton computed at the iterate the root was reached from stands in
-    for the slope at the root; only when the start already converged is
-    the slope evaluated at the root.  NaN fails the test.
-
-    Fold stop: with ``blowup_evidence`` from a longer attempt at this
-    node, a first slope at u_start that is not positive (NaN included)
-    ends the attempt after one residual and one slope, with max_abs =
-    |u_start|.  On a blow-up the start then lies past the fold, where
-    failed attempts used to spend about 130 evaluations before their
-    line search gave up.  The evidence is already set, so only a
-    stopped attempt that Newton would have completed can change the
-    result (see the module docstring).
-
-    max_abs >= |u| holds throughout: each iterate is a trial, and each
-    trial enters max_abs before it can be taken.
-    """
-    return spec._stepper.newton(t, rhs, weight, u_start, blowup_evidence)
-
-
-# The body of _implicit_scalar.  Each upper-case line becomes the
-# statements of a tree at a point; HOISTED computes the part of a and a_u
-# that does not read u, where a failure would make every residual NaN.
+# newton(t, rhs, weight, u_start, blowup_evidence) solves
+# u = rhs + weight * a(t, t, u) by damped Newton from u_start.
+#
+# It returns the plain tuple (converged, value, max_abs): whether an
+# accepted root was found, the last iterate (the root when converged),
+# and the largest |u| seen among the iterates, the blow-up evidence.  A
+# plain tuple, because a named one took about ten times as long to build,
+# once per attempt.  A NaN rhs (f or the lag failed) fails the attempt
+# before Newton, with no evaluation and max_abs = 0.
+#
+# The residual is u - rhs - weight * a(t, t, u) and the slope
+# 1 - weight * a_u(t, t, u), written out at each use.  Newton stops
+# without a root where the start residual is NaN, the slope is flat or
+# not finite (a NaN from a or a_u is a domain failure), 30 halvings of
+# its step find no decrease of the residual, or its iterations run out.
+# The attempt then fails with the largest |u| reached so far, and the
+# caller halves the step.
+#
+# A root is accepted only where the residual increases through it,
+# slope > 0, as on the branch that continues the solution from the last
+# node.  Elsewhere, such as the far root an odd power always has, the
+# attempt fails with |u| as blow-up evidence.  The slope Newton computed
+# at the iterate the root was reached from stands in for the slope at the
+# root; only when the start already converged is the slope evaluated at
+# the root.  NaN fails the test.
+#
+# Fold stop: with blowup_evidence from a longer attempt at this node, a
+# first slope at u_start that is not positive (NaN included) ends the
+# attempt after one residual and one slope, with max_abs = |u_start|.  On
+# a blow-up the start then lies past the fold, where failed attempts used
+# to spend about 130 evaluations before their line search gave up.  The
+# evidence is already set, so only a stopped attempt that Newton would
+# have completed can change the result (see the module docstring).
+#
+# max_abs >= |u| holds throughout: each iterate is a trial, and each trial
+# enters max_abs before it can be taken.
+#
+# Each upper-case line becomes the statements of a tree at a point;
+# HOISTED computes the part of a and a_u that does not read u, where a
+# failure would make every residual NaN.
 _NEWTON = """\
 def newton(t, rhs, weight, u_start, blowup_evidence):
+    if rhs != rhs:
+        return False, u_start, 0.0
     n = 0
     try:
         HOISTED
@@ -372,7 +366,7 @@ class _Stepper:
     """One problem's step functions, each tree written inline:
     ``prelude(t, half, closed, last)`` gives f(t) and, if f(t) is not NaN
     and the sums are given, the lag sum_k phi_k(t)*(closed[k] + half*last[k])
-    from 0.0, else None; ``newton`` is :func:`_implicit_scalar`'s body;
+    from 0.0, else NaN; ``newton`` is :data:`_NEWTON`;
     ``push(s, u, half, closed, last)`` adds the accepted node (s, u) to the
     sums.  ``evaluations`` counts their evaluations of f, phi_k, psi_k, a
     and a_u; ``terms`` is the separated kernel's term count, or None."""
@@ -386,7 +380,7 @@ class _Stepper:
         prelude = [*_inline(spec.f, "fval", at_t, namespace),
                    "if fval != fval or closed is None:",
                    "    stepper.evaluations += 1",
-                   "    return fval, None",
+                   "    return fval, nan",
                    "lag = 0.0"]
         push = []
         for k, (phi, psi) in enumerate(terms or ()):

@@ -464,10 +464,25 @@ _MESSAGES = {
 } | {f"non-finite binding for '{name}'" for name in ("t", "s", "u")}
 
 
+def _inline_forms(tree):
+    """``tree`` as the solver's step functions run it: the statements of
+    ``_inline`` alone, and after those of ``_hoist``, in one function."""
+    forms = []
+    for hoist in (False, True):
+        namespace, sources = expr_module._namespace(expr_module._QUIET), dict(zip("tsu", "tsu"))
+        hoisted, names = expr_module._hoist([tree], sources, namespace, "return nan") if hoist else ([], None)
+        body = [*hoisted, *expr_module._inline(tree, "value", sources, namespace, names), "return value"]
+        source = "\n".join(["def form(t, s, u):", *("    " + line for line in body)]) + "\n"
+        exec(compile(source, "<form>", "exec"), namespace)
+        forms.append(namespace["form"])
+    return forms
+
+
 def test_domain_errors_agree_between_backends_on_random_trees():
     # The array backend raises the same error as the scalar one, and the
     # quiet evaluator returns NaN exactly where the scalar one raises;
-    # elsewhere it returns the scalar value bit for bit.
+    # elsewhere it returns the scalar value bit for bit.  So do the inline
+    # forms the solver runs, with and without the u-free part hoisted.
     rng = np.random.default_rng(4242)
     values = (0.0, -1.0, 0.5, 2.0, 800.0, math.inf)
     raised = set()
@@ -480,14 +495,16 @@ def test_domain_errors_agree_between_backends_on_random_trees():
             except EvalDomainError as exc:
                 results.append(exc)
         scalar, array = results
-        quiet = tree.quiet(*(point[name] for name in "tsu"))
+        args = [point[name] for name in "tsu"]
+        quiet = [tree.quiet(*args)] + [form(*args) for form in _inline_forms(tree)]
         assert isinstance(scalar, EvalDomainError) == isinstance(array, EvalDomainError), to_text(tree)
         if isinstance(scalar, EvalDomainError):
             assert scalar.node is array.node and scalar.message == array.message
-            assert math.isnan(quiet), to_text(tree)
+            assert all(math.isnan(value) for value in quiet), to_text(tree)
             raised.add(scalar.message)
         else:
-            assert np.float64(quiet).tobytes() == np.float64(scalar).tobytes(), to_text(tree)
+            for value in quiet:
+                assert np.float64(value).tobytes() == np.float64(scalar).tobytes(), to_text(tree)
     assert raised == _MESSAGES
 
 
@@ -595,6 +612,27 @@ def test_separate_refuses_factors_mixing_t(text):
 def test_separate_refuses_term_explosion():
     assert len(separate(parse("*".join(["(t+s)"] * 6)))) == 64
     assert separate(parse("*".join(["(t+s)"] * 7))) is None
+
+
+def test_separate_takes_linear_time(monkeypatch):
+    # A sum of n terms that do not separate: each node's variables are
+    # found once, so twice the terms cost at most about twice the node
+    # visits; a walk of the subtree at every level takes about 4 times.
+    visits = [0]
+    children = expr_module._children
+
+    def counted(node):
+        visits[0] += 1
+        return children(node)
+
+    monkeypatch.setattr(expr_module, "_children", counted)
+    counts = []
+    for n in (50, 100):
+        tree = parse(" + ".join(["exp(-(t+s))*atan(u)*(1+0*atan(t*s))"] * n))
+        visits[0] = 0
+        assert separate(tree) is None
+        counts.append(visits[0])
+    assert counts[1] <= 2.1 * counts[0]
 
 
 def test_separate_reproduces_random_trees():
