@@ -6,6 +6,12 @@ trees evaluate over floats or numpy arrays, differentiate symbolically,
 and print back to parseable text.  The grammar is documented in
 docs/grammar.md; the canonical printer emits a fully parenthesized form
 that re-parses to an equivalent tree.
+
+What each operator is lives in one row of ``_OPS``: how it is written,
+its math and numpy functions, its domain rules, whether its result is
+checked for overflow, and its derivative.  The parser, the printer, the
+differentiator and the generated evaluators read that row, so a new
+operator is one new row.
 """
 
 from __future__ import annotations
@@ -38,12 +44,69 @@ __all__ = [
 ]
 
 VARIABLES = ("t", "s", "u")
-UNARY_OPS = ("neg", "exp", "log", "sin", "cos", "atan", "sqrt", "abs")
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
-
-_FUNCTIONS = ("exp", "log", "sin", "cos", "atan", "sqrt", "abs")
 _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
-_BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
+
+
+class _Op(NamedTuple):
+    """One operator: one row of ``_OPS``.  Each of its ``rules`` is
+    ``(operand, comparison with 0.0 that puts that operand outside the
+    domain, message, applies)``, tested in order before the result is
+    computed; ``applies(node)`` says whether the rule holds for a node,
+    None that it always does."""
+
+    arity: int
+    symbol: str | None  # written before or between the operands; None: written name(operand)
+    scalar: Callable | None  # the math function; None: the symbol is the Python operator
+    array: Callable | None  # the numpy function
+    rules: tuple = ()
+    checked: bool = False  # is the result tested for overflow
+    derivative: Callable | None = None  # (*operands, *their derivatives) -> Expr; None: refused
+    power: bool = False  # the right operand is a Constant exponent; the left one reads as an atom
+
+
+_OPS = {
+    "neg": _Op(1, "-", None, None, derivative=lambda x, d: _neg(d)),
+    "exp": _Op(1, None, math.exp, np.exp, (), True, lambda x, d: _binary("mul", d, Unary("exp", x))),
+    "log": _Op(1, None, math.log, np.log, ((0, "<=", "log of a non-positive value", None),), True,
+               lambda x, d: _binary("div", d, x)),
+    "sin": _Op(1, None, math.sin, np.sin, derivative=lambda x, d: _binary("mul", d, Unary("cos", x))),
+    "cos": _Op(1, None, math.cos, np.cos,
+               derivative=lambda x, d: _neg(_binary("mul", d, Unary("sin", x)))),
+    "atan": _Op(1, None, math.atan, np.arctan,
+                derivative=lambda x, d: _binary("div", d, _binary("add", _ONE, _binary("pow", x, _TWO)))),
+    "sqrt": _Op(1, None, math.sqrt, np.sqrt, ((0, "<", "sqrt of a negative value", None),), True,
+                lambda x, d: _binary("div", d, _binary("mul", _TWO, Unary("sqrt", x)))),
+    "abs": _Op(1, None, abs, np.abs),
+    "add": _Op(2, "+", None, None, (), True, lambda a, b, da, db: _binary("add", da, db)),
+    "sub": _Op(2, "-", None, None, (), True, lambda a, b, da, db: _binary("sub", da, db)),
+    "mul": _Op(2, "*", None, None, (), True,
+               lambda a, b, da, db: _binary("add", _binary("mul", da, b), _binary("mul", a, db))),
+    "div": _Op(2, "/", None, None, ((1, "==", "division by zero", None),), True,
+               lambda a, b, da, db: _binary(
+                   "div", _binary("sub", _binary("mul", da, b), _binary("mul", a, db)),
+                   _binary("pow", b, _TWO))),
+    # A zero exponent zeroes the outer product, and so the derivative.
+    "pow": _Op(2, "^", math.pow, np.power,
+               ((0, "==", "zero base with a negative exponent", lambda node: node.right.value < 0.0),
+                (0, "<", "negative base with a non-integer exponent",
+                 lambda node: not node.right.value.is_integer())),
+               True, lambda a, b, da, db: _binary(
+                   "mul", _binary("mul", b, _binary("pow", a, Constant(b.value - 1.0))), da), power=True),
+}
+
+
+def _op(node: Expr) -> _Op:
+    if isinstance(node, (Unary, Binary)):
+        return _OPS[node.op]
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _written(name: str, symbol: str | None, operands: list) -> str:
+    """``name(operands)``, or the operands after or around ``symbol``."""
+    if symbol is None:
+        return f"{name}({', '.join(operands)})"
+    return symbol + operands[0] if len(operands) == 1 else f" {symbol} ".join(operands)
+
 
 Binding = Union[float, int, np.ndarray]
 
@@ -87,9 +150,9 @@ class EvalDomainError(ExprError):
 
 
 class NonDifferentiableError(ExprError):
-    def __init__(self, node: "Expr", message: str = "abs is not differentiable"):
+    def __init__(self, node: "Expr"):
         self.node = node
-        super().__init__(f"{message}: {to_text(node)}")
+        super().__init__(f"{node.op} is not differentiable: {to_text(node)}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +200,10 @@ class Constant(Expr):
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+        value = float(self.value)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite constant {value!r}")
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
@@ -155,7 +221,7 @@ class Unary(Expr):
     child: Expr
 
     def __post_init__(self):
-        if self.op not in UNARY_OPS:
+        if self.op not in _OPS or _OPS[self.op].arity != 1:
             raise ValueError(f"unknown unary operator {self.op!r}")
 
 
@@ -166,10 +232,10 @@ class Binary(Expr):
     right: Expr
 
     def __post_init__(self):
-        if self.op not in BINARY_OPS:
+        if self.op not in _OPS or _OPS[self.op].arity != 2:
             raise ValueError(f"unknown binary operator {self.op!r}")
         # Constant exponents keep differentiation closed-form.
-        if self.op == "pow" and not isinstance(self.right, Constant):
+        if _OPS[self.op].power and not isinstance(self.right, Constant):
             raise ValueError("pow exponent must be a Constant node")
 
 
@@ -208,7 +274,7 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?P<exponent>[eE][+-]?[0-9]+)?)"
     r"|(?P<word>\w+)|(?P<symbol>[-+*/^()])|(?P<end>\Z)|(?P<other>.))"
 )
-_BINARY_NAME = {symbol: name for name, symbol in _BINARY_SYMBOL.items()}
+_BINARY_NAME = {op.symbol: name for name, op in _OPS.items() if op.arity == 2}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -307,7 +373,8 @@ class _Parser:
             return Variable(text)
         if text in _NAMED_CONSTANTS:
             return Constant(_NAMED_CONSTANTS[text])
-        if text in _FUNCTIONS:
+        function = kind == "word" and text in _OPS and _OPS[text].symbol is None
+        if function:
             self.expect("(", f"'(' after function '{text}'")
         elif kind == "word":
             raise ExprSyntaxError(pos, f"unknown identifier {text!r}")
@@ -315,7 +382,7 @@ class _Parser:
             raise ExprSyntaxError(pos, "expected an expression")
         e = self.additive()  # a function's argument, or a parenthesized expression
         self.expect(")", "')'")
-        return Unary(text, e) if text in _FUNCTIONS else e
+        return Unary(text, e) if function else e
 
 
 def parse(text: str) -> Expr:
@@ -370,7 +437,7 @@ class _Backend(NamedTuple):
     source: the names it may call, the source of its two tests, and
     what a failed test does."""
 
-    namespace: Mapping[str, object]  # every unary op but neg, "pow", and what the source calls
+    namespace: Mapping[str, object]  # the operators' functions for these values, and what the source calls
     anywhere: str  # does the elementwise test {} hold anywhere
     nonfinite: str  # is some element of {} not finite
     fail: str  # the statement a failed test runs, given the {node} name and the {message}
@@ -378,36 +445,12 @@ class _Backend(NamedTuple):
 
 
 _RAISE = "raise error({node}, {message}) from None"
-_SCALAR = _Backend(
-    {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos, "atan": math.atan,
-     "sqrt": math.sqrt, "abs": abs, "pow": math.pow},
-    "{}",
-    "{0} - {0} != 0.0",  # x - x is 0.0 for every finite float and NaN otherwise
-    _RAISE,
-    False,
-)
+# x - x is 0.0 for every finite float and NaN otherwise
+_SCALAR = _Backend({name: op.scalar for name, op in _OPS.items() if op.scalar},
+                   "{}", "{0} - {0} != 0.0", _RAISE, False)
 _QUIET = _SCALAR._replace(namespace={**_SCALAR.namespace, "nan": math.nan}, fail="return nan")
-_ARRAY = _Backend(
-    {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos, "atan": np.arctan,
-     "sqrt": np.sqrt, "abs": np.abs, "pow": np.power, "any": np.any, "isfinite": np.isfinite},
-    "any({})",
-    "not isfinite({}).all()",
-    _RAISE,
-    True,
-)
-
-# Ops whose result is checked for overflow, with the domain rules checked
-# on the operand first, each as (comparison with 0.0 that puts the
-# operand outside the domain, message).  sin, cos, atan, abs and neg
-# are not checked.
-_UNARY_RULES = {
-    "exp": (),
-    "log": (("<=", "log of a non-positive value"),),
-    "sqrt": (("<", "sqrt of a negative value"),),
-}
-_ZERO_BASE = ("==", "zero base with a negative exponent")
-_NEGATIVE_BASE = ("<", "negative base with a non-integer exponent")
-_UNCHECKED = ("sin", "cos", "atan", "abs")
+_ARRAY = _Backend({**{name: op.array for name, op in _OPS.items() if op.array}, "any": np.any,
+                   "isfinite": np.isfinite}, "any({})", "not isfinite({}).all()", _RAISE, True)
 
 
 def _generate(root: Expr, k: _Backend) -> Callable:
@@ -490,34 +533,19 @@ def _statements(order: list, k: _Backend, namespace: dict, names: dict, sources:
                 checked.add(node.name)
                 check(node, k.nonfinite.format(source), f"non-finite binding for '{node.name}'")
             return source
-        value = f"v{len(names)}"
+        value, op = f"v{len(names)}", _op(node)
         operands = [names[id(child)] for child in _children(node)]
-        if isinstance(node, Unary) and node.op == "neg":
-            lines.append(f"{value} = -{operands[0]}")
-            return value
-        if isinstance(node, Unary) and node.op in _UNCHECKED:
-            lines.append(f"{value} = {node.op}({operands[0]})")
-            return value
-        if isinstance(node, Binary) and node.op != "pow":
-            if node.op == "div":
-                check(node, k.anywhere.format(f"{operands[1]} == 0.0"), "division by zero")
-            lines.append(f"{value} = {operands[0]} {_BINARY_SYMBOL[node.op]} {operands[1]}")
-        else:
-            if isinstance(node, Binary):  # pow; the exponent is a Constant by construction
-                c = node.right.value
-                rules = ([_ZERO_BASE] if c < 0.0 else []) + ([] if c.is_integer() else [_NEGATIVE_BASE])
-                call = f"pow({operands[0]}, {operands[1]})"
-            elif isinstance(node, Unary):
-                rules = _UNARY_RULES[node.op]
-                call = f"{node.op}({operands[0]})"
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
-            for comparison, message in rules:
-                check(node, k.anywhere.format(f"{operands[0]} {comparison} 0.0"), message)
-            # math raises where numpy returns inf
-            lines.extend(("try:", f"    {value} = {call}", "except math_errors:",
+        for operand, comparison, message, applies in op.rules:
+            if applies is None or applies(node):
+                check(node, k.anywhere.format(f"{operands[operand]} {comparison} 0.0"), message)
+        statement = f"{value} = {_written(node.op, None if op.scalar else op.symbol, operands)}"
+        if op.checked and op.scalar:  # math raises where numpy returns inf
+            lines.extend(("try:", f"    {statement}", "except math_errors:",
                           f"    {failed(node, 'overflow')}"))
-        check(node, k.nonfinite.format(value), "overflow")
+        else:
+            lines.append(statement)
+        if op.checked:
+            check(node, k.nonfinite.format(value), "overflow")
         return value
 
     # Consumers counted first, so that each value is released after its last.
@@ -615,45 +643,14 @@ def _diff(e: Expr, var: str) -> Expr:
         return Constant(0.0)
     if isinstance(e, Variable):
         return Constant(1.0 if e.name == var else 0.0)
-    if isinstance(e, Unary):
-        if e.op == "abs":
-            raise NonDifferentiableError(e)
-        d = _diff(e.child, var)
-        if _is_zero(d):
-            return Constant(0.0)
-        if e.op == "neg":
-            return _neg(d)
-        if e.op == "exp":
-            return _binary("mul", d, Unary("exp", e.child))
-        if e.op == "log":
-            return _binary("div", d, e.child)
-        if e.op == "sin":
-            return _binary("mul", d, Unary("cos", e.child))
-        if e.op == "cos":
-            return _neg(_binary("mul", d, Unary("sin", e.child)))
-        if e.op == "atan":
-            return _binary("div", d, _binary("add", _ONE, _binary("pow", e.child, _TWO)))
-        if e.op == "sqrt":
-            return _binary("div", d, _binary("mul", _TWO, Unary("sqrt", e.child)))
-    if isinstance(e, Binary):
-        dl = _diff(e.left, var)
-        dr = _diff(e.right, var)
-        if e.op in ("add", "sub"):
-            return _binary(e.op, dl, dr)
-        if e.op == "mul":
-            return _binary("add", _binary("mul", dl, e.right), _binary("mul", e.left, dr))
-        if e.op == "div":
-            if _is_zero(dl) and _is_zero(dr):
-                return Constant(0.0)
-            num = _binary("sub", _binary("mul", dl, e.right), _binary("mul", e.left, dr))
-            return _binary("div", num, _binary("pow", e.right, _TWO))
-        if e.op == "pow":
-            c = e.right.value  # Constant by construction
-            if _is_zero(dl) or c == 0.0:
-                return Constant(0.0)
-            power = _binary("pow", e.left, Constant(c - 1.0))
-            return _binary("mul", _binary("mul", e.right, power), dl)
-    raise TypeError(f"not an expression node: {e!r}")
+    rule = _op(e).derivative
+    if rule is None:
+        raise NonDifferentiableError(e)
+    operands = _children(e)
+    derivatives = list(map(_diff, operands, [var] * len(operands)))  # map: one frame per level
+    if all(map(_is_zero, derivatives)):
+        return Constant(0.0)
+    return rule(*operands, *derivatives)
 
 
 # ---------------------------------------------------------------------------
@@ -767,10 +764,9 @@ def to_text(e: Expr) -> str:
         return repr(e.value)
     if isinstance(e, Variable):
         return e.name
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return f"(-{to_text(e.child)})"
-        return f"{e.op}({to_text(e.child)})"
-    if isinstance(e, Binary):
-        return f"({to_text(e.left)} {_BINARY_SYMBOL[e.op]} {to_text(e.right)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    op = _op(e)
+    operands = list(map(to_text, _children(e)))  # map: one frame per level
+    if op.power and isinstance(e.left, Constant) and math.copysign(1.0, e.left.value) < 0.0:
+        operands[0] = f"({operands[0]})"  # -2.0 ^ 2.0 would read as -(2.0 ^ 2.0)
+    text = _written(e.op, op.symbol, operands)
+    return text if op.symbol is None else f"({text})"

@@ -4,6 +4,7 @@ import io
 import math
 import re
 import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +380,38 @@ def test_print_parse_round_trip_random_trees():
             assert v1 == v2, f"round trip changed value of {text}"
 
 
+@pytest.mark.parametrize("base", [-2.0, -0.5, -0.0])
+@pytest.mark.parametrize("exponent", [2.0, 3.0, -1.0, 0.5])
+def test_print_parse_round_trip_negative_constant_base(base, exponent):
+    # "-2.0 ^ 2.0" would read as -(2.0 ^ 2.0), so the base is parenthesized;
+    # -0.0 would flip the sign of an even power of zero.
+    tree = Binary("mul", Variable("u"), Binary("pow", Constant(base), Constant(exponent)))
+    text = to_text(tree)
+    assert f"(({base!r}) ^ {exponent!r})" in text
+    results = []
+    for e in (tree, parse(text)):
+        try:
+            results.append(np.float64(evaluate(e, {"u": 1.0})).tobytes())
+        except EvalDomainError as exc:
+            results.append(exc.message)
+    assert results[0] == results[1], text
+
+
+def test_only_a_negative_constant_base_is_parenthesized():
+    assert to_text(parse("2^2 - (-2)^2 + u^-1")) == "(((2.0 ^ 2.0) - ((-2.0) ^ 2.0)) + (u ^ -1.0))"
+    assert to_text(Binary("sub", Constant(-2.0), Constant(-0.0))) == "(-2.0 - -0.0)"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_constant_rejects_non_finite_values(value):
+    # Such a node would evaluate to inf, or make the scalar backend raise
+    # a bare ValueError and the array one return NaN.
+    with pytest.raises(ValueError, match="non-finite constant"):
+        evaluate(Constant(value), {})
+    with pytest.raises(ValueError, match="non-finite constant"):
+        Unary("sin", Constant(value))
+
+
 @given(st.floats(min_value=0.3, max_value=2.0), st.floats(min_value=0.3, max_value=2.0))
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 def test_print_parse_round_trip_fixed_tree(tv, uv):
@@ -559,6 +592,21 @@ def test_domain_errors_agree_between_backends_on_random_trees():
             for value in quiet:
                 assert np.float64(value).tobytes() == np.float64(scalar).tobytes(), to_text(tree)
     assert raised == _MESSAGES
+
+
+def test_grammar_doc_names_the_table_functions_and_messages():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "grammar.md").read_text(encoding="utf-8")
+    table = expr_module._OPS
+    function_line = re.search(r"^function +=(.*);$", text, re.MULTILINE)[1]
+    assert set(re.findall(r'"(\w+)"', function_line)) == {name for name, op in table.items() if op.symbol is None}
+    messages = text.split("| message | raised by |", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.findall(r"^\| `([^`]+)` \| (.*) \|$", messages, re.MULTILINE))
+    assert set(rows) - {"overflow", "non-finite binding for 'x'"} == {
+        rule[2] for op in table.values() for rule in op.rules
+    }
+    # The overflow row names every operator whose result is checked.
+    checked = {op.symbol or name for name, op in table.items() if op.checked}
+    assert set(re.findall(r"`([^`]+)`", rows["overflow"])) == checked
 
 
 _EXPRESSION_TEXTS = st.recursive(
