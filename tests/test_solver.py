@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -451,6 +452,47 @@ def test_separable_kernel_never_evaluates_over_the_history(monkeypatch, atan_spe
     direct = build_problem("exp(-t)", "exp(-(t+s))*atan(u)" + DIRECT, atan_spec.envelope)
     solve(direct, Grid(t_end=0.01, h=1e-3))
     assert calls["array"] == 10
+
+
+# The problems the stepper pin covers: the two benchmark kernels, two
+# blow-up powers, a kernel that does not separate, one whose split factor
+# overflows, and log, sqrt and div with a pole in f.
+_STEPPER_PROBLEMS = [
+    ("exp(-t)", "exp(-(t+s))*atan(u)"),
+    ("1.0", "u^2.5"),
+    ("1.0", "u^3"),
+    ("exp(-t)", "atan(t*s*u)"),
+    ("2.7224606461719154*cos(t)", "58.543202818164076*cos(u)^2*u"),
+    ("1 + 0.5*cos(t)", "exp(s-t)*atan(u)"),
+    ("1/(1-t)", "log(2-t)*u + sqrt(1+u^2)"),
+    ("1/(1-t)", "u/(1+t) - t/(1+s)"),
+]
+
+
+def _stepper_sources():
+    """The source that a new ``_Stepper`` compiles for each problem above."""
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    env = ExponentialDecayData(1, 0, 1, 0, 0, 0, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "compile", capture, raising=False)
+        for f_text, a_text in _STEPPER_PROBLEMS:
+            solver._Stepper(build_problem(f_text, a_text, env))
+    return sources
+
+
+def test_stepper_source_pin():
+    # One sha256 over the generated step functions of the problems above.
+    # A refactor leaves it as it is; a deliberate change re-pins it and
+    # says why in CHANGES.md.
+    sources = _stepper_sources()
+    assert len(sources) == len(_STEPPER_PROBLEMS)
+    digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()
+    assert digest == "66127d0f319ad9a9108ffa2dd9f5ac52f2bee02f78952fb8b0b564f917fc76ee"
 
 
 # ---------------------------------------------------------------------------
