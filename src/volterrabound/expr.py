@@ -180,14 +180,6 @@ class Expr:
         return _generate(self, _SCALAR)
 
     @cached_property
-    def quiet(self) -> Callable:
-        """The same as :attr:`scalar`, except that where ``scalar``
-        raises :class:`EvalDomainError` it returns NaN: the same checks
-        run in the same order, and the first that fails ends the call.
-        For callers that treat a domain failure as a value to test."""
-        return _generate(self, _QUIET)
-
-    @cached_property
     def array(self) -> Callable:
         """The same over numpy arrays of floats (or floats), broadcast
         elementwise; call it under ``np.errstate(all="ignore")``, as
@@ -357,9 +349,10 @@ class _Parser:
             return Binary("pow", base, exponent)
         if variables(exponent):
             raise ExprSyntaxError(exp_pos, "pow exponent must be a constant expression")
-        value = exponent.quiet(None, None, None)
-        if math.isnan(value):
-            raise ExprSyntaxError(exp_pos, "pow exponent does not evaluate to a finite constant")
+        try:
+            value = exponent.scalar(None, None, None)
+        except EvalDomainError:
+            raise ExprSyntaxError(exp_pos, "pow exponent does not evaluate to a finite constant") from None
         return Binary("pow", base, Constant(value))
 
     def atom(self) -> Expr:
@@ -434,23 +427,21 @@ def _read(value: Binding):
 
 class _Backend(NamedTuple):
     """How one kind of value is computed and checked, for the generated
-    source: the names it may call, the source of its two tests, and
-    what a failed test does."""
+    source: the names it may call and the source of its two tests."""
 
     namespace: Mapping[str, object]  # the operators' functions for these values, and what the source calls
     anywhere: str  # does the elementwise test {} hold anywhere
     nonfinite: str  # is some element of {} not finite
-    fail: str  # the statement a failed test runs, given the {node} name and the {message}
     release: bool  # delete each SSA value after its last use, so arrays do not pile up
 
 
 _RAISE = "raise error({node}, {message}) from None"
+_ERRORS = {"error": EvalDomainError, "math_errors": (OverflowError, ValueError)}
 # x - x is 0.0 for every finite float and NaN otherwise
-_SCALAR = _Backend({name: op.scalar for name, op in _OPS.items() if op.scalar},
-                   "{}", "{0} - {0} != 0.0", _RAISE, False)
-_QUIET = _SCALAR._replace(namespace={**_SCALAR.namespace, "nan": math.nan}, fail="return nan")
-_ARRAY = _Backend({**{name: op.array for name, op in _OPS.items() if op.array}, "any": np.any,
-                   "isfinite": np.isfinite}, "any({})", "not isfinite({}).all()", _RAISE, True)
+_SCALAR = _Backend({**{name: op.scalar for name, op in _OPS.items() if op.scalar}, **_ERRORS},
+                   "{}", "{0} - {0} != 0.0", False)
+_ARRAY = _Backend({**{name: op.array for name, op in _OPS.items() if op.array}, **_ERRORS, "any": np.any,
+                   "isfinite": np.isfinite}, "any({})", "not isfinite({}).all()", True)
 
 
 def _generate(root: Expr, k: _Backend) -> Callable:
@@ -464,14 +455,10 @@ def _generate(root: Expr, k: _Backend) -> Callable:
 def _source(root: Expr, k: _Backend) -> tuple[str, dict]:
     """The source of ``root``'s evaluator and the namespace it runs in:
     the tree's :func:`_statements`, then the return of its value."""
-    namespace, names = _namespace(k), {}
-    body = _statements(_post_order([root]), k, namespace, names, dict(zip(VARIABLES, VARIABLES)), k.fail)
+    namespace, names = dict(k.namespace), {}
+    body = _statements(_post_order([root]), k, namespace, names, dict(zip(VARIABLES, VARIABLES)), _RAISE)
     lines = ["def evaluator(t, s, u):", *("    " + line for line in body), f"    return {names[id(root)]}"]
     return "\n".join(lines) + "\n", namespace
-
-
-def _namespace(k: _Backend) -> dict:
-    return dict(k.namespace, error=EvalDomainError, math_errors=(OverflowError, ValueError))
 
 
 def _post_order(roots: list) -> list:
@@ -564,8 +551,9 @@ def _statements(order: list, k: _Backend, namespace: dict, names: dict, sources:
     return lines
 
 
-# Inline evaluation, for the solver's generated step functions: the quiet
-# backend's statements in the caller's own function and namespace.
+# Inline evaluation, for the solver's generated step functions: the scalar
+# backend's statements in the caller's own function and namespace, a
+# failed test running the caller's statement instead of raising.
 
 
 def _inline(root: Expr, target: str, sources: dict, namespace: dict, names: dict = None) -> list[str]:
@@ -573,7 +561,7 @@ def _inline(root: Expr, target: str, sources: dict, namespace: dict, names: dict
     of ``root``, or to NaN at its first failed test, which leaves the
     block at once.  ``names`` holds the values :func:`_hoist` computed."""
     names = dict(names or ())
-    body = _statements(_post_order([root]), _QUIET, namespace, names, sources, f"{target} = nan; break")
+    body = _statements(_post_order([root]), _SCALAR, namespace, names, sources, f"{target} = nan; break")
     return ["while True:", *("    " + line for line in body), f"    {target} = {names[id(root)]}", "    break"]
 
 
@@ -582,7 +570,7 @@ def _hoist(roots: list, sources: dict, namespace: dict, fail: str) -> tuple[list
     failed test running ``fail``, and the names of their values."""
     sets, names = _variable_sets(roots), {}
     free = [node for node in _post_order(roots) if "u" not in sets[id(node)]]
-    return _statements(free, _QUIET, namespace, names, sources, fail), names
+    return _statements(free, _SCALAR, namespace, names, sources, fail), names
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +603,10 @@ def _binary(op: str, a: Expr, b: Expr) -> Expr:
         return a
     node = Binary(op, a, b)
     if isinstance(a, Constant) and isinstance(b, Constant):
-        value = node.quiet(None, None, None)
-        if not math.isnan(value):  # NaN: folding would hide a domain error
-            return Constant(value)
+        try:
+            return Constant(node.scalar(None, None, None))
+        except EvalDomainError:
+            return node  # folding would hide the domain error
     return node
 
 

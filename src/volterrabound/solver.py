@@ -25,16 +25,17 @@ kernels, and separable ones after a factor has left its domain or
 overflowed, are summed over every stored node at every attempt: O(N^2).
 The scalar work calls no evaluator: on its first solve each problem
 generates three step functions (``_Stepper``, kept on the spec) with
-every tree written inline as the quiet evaluator's statements, a domain
-failure being NaN.  ``prelude`` gives an attempt's f and its lag from
-the running sums (NaN without them), ``newton`` solves its implicit
-equation (template ``_NEWTON``, whose comment states its contract), and
-``push`` adds an accepted node to the sums.  The part of a(t, t, u)
-and a_u(t, t, u) that does not read u, such as exp(-(t+t)), is computed
-once per attempt, not at every residual.  Each function counts its
-evaluations in a local and adds them to ``_Stepper.evaluations`` once
-per call.  Only the sum over the history goes through ``evaluate``, once
-per attempt.  Each attempt's Newton result is a plain tuple.
+every tree written inline as the scalar evaluator's statements, a domain
+failure giving NaN instead of a raise.  ``prelude`` gives an attempt's f
+and its lag from the running sums (NaN without them), ``newton`` solves
+its implicit equation (template ``_NEWTON``, whose comment states its
+contract), and ``push`` adds an accepted node to the sums.  The part of
+a(t, t, u) and a_u(t, t, u) that does not read u, such as exp(-(t+t)),
+is computed once per attempt, not at every residual.  Each function
+counts its evaluations in a local and adds them to
+``_Stepper.evaluations`` once per call.  Only the sum over the history
+goes through ``evaluate``, once per attempt.  Each attempt's Newton
+result is a plain tuple.
 
 Structure: the march is one loop in :func:`solve`, which holds the grid
 nodes, the local halving and refinement, and the running sums as local
@@ -53,7 +54,7 @@ from typing import Union
 
 import numpy as np
 
-from .expr import _QUIET, EvalDomainError, _hoist, _inline, _namespace, evaluate, separate
+from .expr import _SCALAR, EvalDomainError, _hoist, _inline, evaluate, separate
 from .ioutil import write_csv_atomic
 from .model import ProblemSpec
 
@@ -375,7 +376,7 @@ class _Stepper:
         self.evaluations = 0
         terms = separate(spec.a)
         self.terms = None if terms is None else len(terms)
-        namespace = _namespace(_QUIET)
+        namespace = dict(_SCALAR.namespace, nan=math.nan)
         at_t, at_node = {"t": "t"}, {"s": "s", "u": "u"}
         prelude = [*_inline(spec.f, "fval", at_t, namespace),
                    "if fval != fval or closed is None:",

@@ -117,14 +117,13 @@ def write_problem(path, problem: dict) -> str:
 
 def count_evaluations(monkeypatch):
     """Count calls of every tree's generated evaluators, by kind, from
-    here to the end of the test: ``Expr.scalar``, ``Expr.quiet`` and
-    ``Expr.array`` hand out counting wrappers of the cached functions,
-    and the two scalar evaluators count as "scalar".  In the solver each
+    here to the end of the test: ``Expr.scalar`` and ``Expr.array`` hand
+    out counting wrappers of the cached functions.  In the solver each
     array call is a sum over the whole history; its scalar evaluations
     are written inline and call nothing, so :func:`tally` counts them."""
     calls = {"array": 0, "scalar": 0}
-    for attribute, kind in (("array", "array"), ("scalar", "scalar"), ("quiet", "scalar")):
-        cached = getattr(Expr, attribute)
+    for kind in calls:
+        cached = getattr(Expr, kind)
 
         def counted(e, kind=kind, cached=cached):
             fn = cached.__get__(e, type(e))
@@ -135,7 +134,7 @@ def count_evaluations(monkeypatch):
 
             return call
 
-        monkeypatch.setattr(Expr, attribute, property(counted))
+        monkeypatch.setattr(Expr, kind, property(counted))
     return calls
 
 

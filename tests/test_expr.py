@@ -503,7 +503,7 @@ def _inline_sources(tree):
     the namespace it runs in: the statements of ``_inline`` alone, and
     after those of ``_hoist``, in one function."""
     for hoist in (False, True):
-        namespace, sources = expr_module._namespace(expr_module._QUIET), dict(zip("tsu", "tsu"))
+        namespace, sources = dict(expr_module._SCALAR.namespace, nan=math.nan), dict(zip("tsu", "tsu"))
         hoisted, names = expr_module._hoist([tree], sources, namespace, "return nan") if hoist else ([], None)
         body = [*hoisted, *expr_module._inline(tree, "value", sources, namespace, names), "return value"]
         yield "\n".join(["def form(t, s, u):", *("    " + line for line in body)]) + "\n", namespace
@@ -566,9 +566,9 @@ def test_parity_pin_of_printed_derived_separated_and_generated_text():
 
 def test_domain_errors_agree_between_backends_on_random_trees():
     # The array backend raises the same error as the scalar one, and the
-    # quiet evaluator returns NaN exactly where the scalar one raises;
-    # elsewhere it returns the scalar value bit for bit.  So do the inline
-    # forms the solver runs, with and without the u-free part hoisted.
+    # inline forms the solver runs, with and without the u-free part
+    # hoisted, return NaN exactly where the scalar one raises; elsewhere
+    # they return the scalar value bit for bit.
     rng = np.random.default_rng(4242)
     values = (0.0, -1.0, 0.5, 2.0, 800.0, math.inf)
     raised = set()
@@ -582,14 +582,14 @@ def test_domain_errors_agree_between_backends_on_random_trees():
                 results.append(exc)
         scalar, array = results
         args = [point[name] for name in "tsu"]
-        quiet = [tree.quiet(*args)] + [form(*args) for form in _inline_forms(tree)]
+        inline = [form(*args) for form in _inline_forms(tree)]
         assert isinstance(scalar, EvalDomainError) == isinstance(array, EvalDomainError), to_text(tree)
         if isinstance(scalar, EvalDomainError):
             assert scalar.node is array.node and scalar.message == array.message
-            assert all(math.isnan(value) for value in quiet), to_text(tree)
+            assert all(math.isnan(value) for value in inline), to_text(tree)
             raised.add(scalar.message)
         else:
-            for value in quiet:
+            for value in inline:
                 assert np.float64(value).tobytes() == np.float64(scalar).tobytes(), to_text(tree)
     assert raised == _MESSAGES
 
@@ -620,7 +620,7 @@ _EXPRESSION_TEXTS = st.recursive(
     max_leaves=30,
 )
 _SOURCE_NAMES = {"def", "evaluator", "t", "s", "u", "if", "not", "raise", "try", "except", "from",
-                 "None", "return", "error", "math_errors", "all", "del"}
+                 "None", "return", "all", "del"}
 
 
 @given(st.one_of(st.text(), _EXPRESSION_TEXTS))
@@ -630,9 +630,9 @@ def test_generated_source_names_only_its_own_identifiers(text):
         tree = parse(text)
     except ExprSyntaxError:
         return
-    for backend in (expr_module._SCALAR, expr_module._QUIET, expr_module._ARRAY):
+    for backend in (expr_module._SCALAR, expr_module._ARRAY):
         source, namespace = expr_module._source(tree, backend)
-        bound = set(namespace) - set(backend.namespace) - {"error", "math_errors"}
+        bound = set(namespace) - set(backend.namespace)
         assert all(re.fullmatch(r"[cn]\d+", name) for name in bound)
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type == tokenize.NAME:
@@ -654,8 +654,7 @@ def test_array_source_deletes_each_value_after_its_last_read(text):
     except NonDifferentiableError:
         trees = [tree]
     for tree in trees:
-        for backend in (expr_module._SCALAR, expr_module._QUIET):
-            assert "del " not in expr_module._source(tree, backend)[0]
+        assert "del " not in expr_module._source(tree, expr_module._SCALAR)[0]
         lines = expr_module._source(tree, expr_module._ARRAY)[0].splitlines()
         assigned, last_read, deleted = [], {}, {}
         for number, line in enumerate(lines):
