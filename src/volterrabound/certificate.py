@@ -38,6 +38,7 @@ is decided from scalars, with no sampled grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -344,7 +345,9 @@ def _coefficient_bracket(initial: float) -> tuple[float, float]:
     """Admissible weight coefficients: (0, 1/initial) from the strict
     start condition, clipped to a representable bracket."""
     if initial > 0.0:
-        hi = (1.0 / initial) * (1.0 - 1e-12)
+        # For a subnormal initial 1/initial overflows, and the largest
+        # float still meets the strict start condition.
+        hi = min((1.0 / initial) * (1.0 - 1e-12), sys.float_info.max)
     else:
         hi = _COEFF_CAP
     lo = min(_COEFF_FLOOR, hi * 1e-3)

@@ -222,6 +222,24 @@ def test_search_pure_forcing_degenerate():
     assert cert.margin_min >= 0.0
 
 
+@pytest.mark.parametrize(
+    "decay, certified",
+    [
+        ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5), True),  # pure forcing
+        ((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5), True),  # pure forcing, no drive
+        ((1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5), True),  # p <= 1/2
+        ((1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5), False),  # p > 1/2
+    ],
+)
+def test_search_with_a_subnormal_initial_value_gives_a_verdict(decay, certified):
+    # 1/1e-320 overflows; the coefficient bracket must stay finite.
+    cert = search_exponential(InequalityData(1e-320, ExponentialDecayData(*decay)))
+    assert cert.certified == certified, cert.verdict
+    if certified:
+        assert cert.verdict == Certified(strict=True)
+        assert cert.weight.coefficient * 1e-320 < 1.0
+
+
 def test_search_level_condition_failure():
     # p > 1/2 with huge amplitudes and slow decay: min h exceeds the
     # largest admissible rate, refusal carries the best margin.

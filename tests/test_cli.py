@@ -120,6 +120,18 @@ def test_certify_atan(tmp_path, capsys):
     assert cert["tail_check"]["passed"] is True
 
 
+def test_certify_subnormal_forcing(tmp_path, capsys):
+    # f(0) = 1e-320 is positive, and 1/f(0) overflows.
+    problem = write_problem(
+        tmp_path / "p.json",
+        {"f": "1e-320", "a": "0", "c0": 1e-320, "b0": 0, "c1": 0, "b1": 0, "c2": 0, "b": 0, "p": 0.5},
+    )
+    assert run(["certify", "--problem", problem, "--out", str(tmp_path)]) == 0
+    assert "certified" in capsys.readouterr().out
+    cert = json.loads((tmp_path / "certificate.json").read_text())["certificate"]
+    assert cert["verdict"] == "certified" and cert["strict"] is True
+
+
 def test_certify_quadratic_refused(tmp_path, capsys):
     problem = write_problem(tmp_path / "p.json", QUADRATIC_PROBLEM)
     out = tmp_path / "out"
