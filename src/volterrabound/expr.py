@@ -59,7 +59,7 @@ class _Op(NamedTuple):
     scalar: Callable | None  # the math function; None: the symbol is the Python operator
     array: Callable | None  # the numpy function
     rules: tuple = ()
-    checked: bool = False  # is the result tested for overflow
+    checked: bool = False  # is the result tested for overflow; an operand in the domain may give inf
     derivative: Callable | None = None  # (*operands, *their derivatives) -> Expr; None: refused
     power: bool = False  # the right operand is a Constant exponent; the left one reads as an atom
 
@@ -67,15 +67,15 @@ class _Op(NamedTuple):
 _OPS = {
     "neg": _Op(1, "-", None, None, derivative=lambda x, d: _neg(d)),
     "exp": _Op(1, None, math.exp, np.exp, (), True, lambda x, d: _binary("mul", d, Unary("exp", x))),
-    "log": _Op(1, None, math.log, np.log, ((0, "<=", "log of a non-positive value", None),), True,
-               lambda x, d: _binary("div", d, x)),
+    "log": _Op(1, None, math.log, np.log, ((0, "<=", "log of a non-positive value", None),),
+               derivative=lambda x, d: _binary("div", d, x)),
     "sin": _Op(1, None, math.sin, np.sin, derivative=lambda x, d: _binary("mul", d, Unary("cos", x))),
     "cos": _Op(1, None, math.cos, np.cos,
                derivative=lambda x, d: _neg(_binary("mul", d, Unary("sin", x)))),
     "atan": _Op(1, None, math.atan, np.arctan,
                 derivative=lambda x, d: _binary("div", d, _binary("add", _ONE, _binary("pow", x, _TWO)))),
-    "sqrt": _Op(1, None, math.sqrt, np.sqrt, ((0, "<", "sqrt of a negative value", None),), True,
-                lambda x, d: _binary("div", d, _binary("mul", _TWO, Unary("sqrt", x)))),
+    "sqrt": _Op(1, None, math.sqrt, np.sqrt, ((0, "<", "sqrt of a negative value", None),),
+                derivative=lambda x, d: _binary("div", d, _binary("mul", _TWO, Unary("sqrt", x)))),
     "abs": _Op(1, None, abs, np.abs),
     "add": _Op(2, "+", None, None, (), True, lambda a, b, da, db: _binary("add", da, db)),
     "sub": _Op(2, "-", None, None, (), True, lambda a, b, da, db: _binary("sub", da, db)),

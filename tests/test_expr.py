@@ -561,7 +561,7 @@ def test_parity_pin_of_printed_derived_separated_and_generated_text():
     for tree in trees:
         for output in _pinned_outputs(tree):
             digest.update(output.encode() + b"\0")
-    assert digest.hexdigest() == "6f36bb6e3a8b09b64b4143c905c59bdbb999f0d477b1882d9cb545473b6b8551"
+    assert digest.hexdigest() == "bfb567fdc658aea00fdc098719a98b31ecc3f73ee8155295492589e69ecb9581"
 
 
 def test_domain_errors_agree_between_backends_on_random_trees():

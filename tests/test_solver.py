@@ -492,7 +492,7 @@ def test_stepper_source_pin():
     sources = _stepper_sources()
     assert len(sources) == len(_STEPPER_PROBLEMS)
     digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()
-    assert digest == "66127d0f319ad9a9108ffa2dd9f5ac52f2bee02f78952fb8b0b564f917fc76ee"
+    assert digest == "0684f812d6f6653f81ddbeb6c1096a2690947d55bc5b80b0e83a51f7f2acad40"
 
 
 # ---------------------------------------------------------------------------
