@@ -488,8 +488,10 @@ def _statements(order: list, k: _Backend, namespace: dict, names: dict, sources:
     share them) is computed once.  Each variable is checked where the
     statements first read it.  The source is built from node kinds alone:
     it names only its SSA values, the variables' ``sources`` and
-    ``namespace``, which gains every constant and node it names.  A
-    failed test runs ``fail``, given the node's {node} name and the
+    ``namespace``.  That starts as a copy of the backend's and gains
+    every constant and node the source names, numbered by how many were
+    bound before, so an entry added to a backend renames nothing, and
+    calls that share a namespace bind distinct names.  A failed test runs ``fail``, given the node's {node} name and the
     {message}.  A backend that releases its values deletes each one after
     the statement of its last consumer, so an array evaluator holds about
     three arrays at a time instead of one per node.
@@ -499,7 +501,7 @@ def _statements(order: list, k: _Backend, namespace: dict, names: dict, sources:
     checked = set()  # variables already tested for finiteness
 
     def bind(prefix: str, value) -> str:
-        name = f"{prefix}{len(namespace)}"
+        name = f"{prefix}{len(namespace) - len(k.namespace)}"
         namespace[name] = value
         return name
 
@@ -552,8 +554,9 @@ def _statements(order: list, k: _Backend, namespace: dict, names: dict, sources:
 
 
 # Inline evaluation, for the solver's generated step functions: the scalar
-# backend's statements in the caller's own function and namespace, a
-# failed test running the caller's statement instead of raising.
+# backend's statements in the caller's own function and namespace, a copy
+# of the backend's, a failed test running the caller's statement instead
+# of raising.
 
 
 def _inline(root: Expr, target: str, sources: dict, namespace: dict, names: dict = None) -> list[str]:

@@ -376,7 +376,7 @@ class _Stepper:
         self.evaluations = 0
         terms = separate(spec.a)
         self.terms = None if terms is None else len(terms)
-        namespace = dict(_SCALAR.namespace, nan=math.nan)
+        namespace = dict(_SCALAR.namespace)
         at_t, at_node = {"t": "t"}, {"s": "s", "u": "u"}
         prelude = [*_inline(spec.f, "fval", at_t, namespace),
                    "if fval != fval or closed is None:",
@@ -406,7 +406,7 @@ class _Stepper:
         for line in _NEWTON.splitlines():
             indent, key = line[: len(line) - len(line.lstrip())], line.strip()
             source += [indent + text for text in blocks[key]] if key in blocks else [line]
-        namespace.update(stepper=self, isfinite=math.isfinite, _NEWTON_TOL=_NEWTON_TOL,
+        namespace.update(stepper=self, nan=math.nan, isfinite=math.isfinite, _NEWTON_TOL=_NEWTON_TOL,
                          _NEWTON_ITERATIONS=_NEWTON_ITERATIONS, _DERIVATIVE_FLOOR=_DERIVATIVE_FLOOR)
         exec(compile("\n".join(source) + "\n", "<stepper>", "exec"), namespace)
         self.prelude, self.newton, self.push = (namespace[name] for name in ("prelude", "newton", "push"))

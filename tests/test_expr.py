@@ -503,9 +503,10 @@ def _inline_sources(tree):
     the namespace it runs in: the statements of ``_inline`` alone, and
     after those of ``_hoist``, in one function."""
     for hoist in (False, True):
-        namespace, sources = dict(expr_module._SCALAR.namespace, nan=math.nan), dict(zip("tsu", "tsu"))
+        namespace, sources = dict(expr_module._SCALAR.namespace), dict(zip("tsu", "tsu"))
         hoisted, names = expr_module._hoist([tree], sources, namespace, "return nan") if hoist else ([], None)
         body = [*hoisted, *expr_module._inline(tree, "value", sources, namespace, names), "return value"]
+        namespace["nan"] = math.nan
         yield "\n".join(["def form(t, s, u):", *("    " + line for line in body)]) + "\n", namespace
 
 
@@ -561,7 +562,7 @@ def test_parity_pin_of_printed_derived_separated_and_generated_text():
     for tree in trees:
         for output in _pinned_outputs(tree):
             digest.update(output.encode() + b"\0")
-    assert digest.hexdigest() == "bfb567fdc658aea00fdc098719a98b31ecc3f73ee8155295492589e69ecb9581"
+    assert digest.hexdigest() == "6eeda8e0f00ead541851b443898f6c7f10ff43987cd581d2a0541e3f6369e942"
 
 
 def test_domain_errors_agree_between_backends_on_random_trees():

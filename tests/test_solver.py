@@ -17,7 +17,7 @@ from volterrabound import (
     solve,
     write_trajectory_csv,
 )
-from volterrabound import solver
+from volterrabound import expr, solver
 
 from conftest import count_evaluations, tally
 
@@ -492,7 +492,23 @@ def test_stepper_source_pin():
     sources = _stepper_sources()
     assert len(sources) == len(_STEPPER_PROBLEMS)
     digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()
-    assert digest == "0684f812d6f6653f81ddbeb6c1096a2690947d55bc5b80b0e83a51f7f2acad40"
+    assert digest == "ee79fb2affc1276a6cf6cb2f62d26132de16a92d9194e771efe0e409df035be4"
+
+
+
+def test_an_entry_added_to_a_backend_renames_nothing(monkeypatch):
+    # Bound constants and nodes are numbered by how many were bound
+    # before, not by the size of the namespace they join.
+    trees = [expr.parse(text) for problem in _STEPPER_PROBLEMS for text in problem]
+
+    def sources():
+        generated = [expr._source(tree, backend)[0] for tree in trees for backend in (expr._SCALAR, expr._ARRAY)]
+        return generated + _stepper_sources()
+
+    before = sources()
+    monkeypatch.setitem(expr._SCALAR.namespace, "extra", None)
+    monkeypatch.setitem(expr._ARRAY.namespace, "extra", None)
+    assert sources() == before
 
 
 # ---------------------------------------------------------------------------
