@@ -196,7 +196,7 @@ def test_golden_values_pin_every_operation(atan_spec):
 def test_failed_trials_raise_no_domain_error(monkeypatch):
     # Past the fold of u = 1 + int u^2.5 Newton's trials reach u < 0,
     # where u^2.5 has no real value.  The stepping reads that as NaN
-    # from the quiet evaluator, so not one EvalDomainError is built.
+    # from the inline kernel, so not one EvalDomainError is built.
     built = []
     init = EvalDomainError.__init__
 
@@ -377,7 +377,7 @@ def test_refinement_budget_ends_the_solve():
 def test_quartic_blow_up_golden_with_few_evaluations(monkeypatch):
     # u = 1 + int u^4 blows up at t* = 1/3; steps of t*/1000.  The status
     # is the one the solver gave before the fold stop, which cut the
-    # quiet evaluations of this solve from 174 323 to about 40 000.
+    # scalar evaluations of this solve from 174 323 to about 40 000.
     calls = count_evaluations(monkeypatch)
     t_star = 1.0 / 3.0
     spec = build_problem("1.0", "u^4", ExponentialDecayData(1, 0, 1, 0, 0, 0, 2))
