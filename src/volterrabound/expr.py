@@ -491,9 +491,10 @@ def _statements(order: list, k: _Backend, namespace: dict, names: dict, sources:
     ``namespace``.  That starts as a copy of the backend's and gains
     every constant and node the source names, numbered by how many were
     bound before, so an entry added to a backend renames nothing, and
-    calls that share a namespace bind distinct names.  A failed test runs ``fail``, given the node's {node} name and the
-    {message}.  A backend that releases its values deletes each one after
-    the statement of its last consumer, so an array evaluator holds about
+    calls that share a namespace bind distinct names.  A failed test
+    runs ``fail``, given the node's {node} name and the {message}.  A
+    backend that releases its values deletes each one after the
+    statement of its last consumer, so an array evaluator holds about
     three arrays at a time instead of one per node.
     """
     lines = []
@@ -554,8 +555,8 @@ def _statements(order: list, k: _Backend, namespace: dict, names: dict, sources:
 
 
 # Inline evaluation, for the solver's generated step functions: the scalar
-# backend's statements in the caller's own function and namespace, a copy
-# of the backend's, a failed test running the caller's statement instead
+# backend's statements in the caller's own function, and in a copy of the
+# backend's namespace; a failed test runs the caller's statement instead
 # of raising.
 
 
@@ -609,7 +610,7 @@ def _binary(op: str, a: Expr, b: Expr) -> Expr:
         try:
             return Constant(node.scalar(None, None, None))
         except EvalDomainError:
-            return node  # folding would hide the domain error
+            pass  # folding would hide the domain error
     return node
 
 
