@@ -9,14 +9,14 @@ solved by damped Newton with the symbolic kernel derivative a_u.  A root
 counts only where the slope 1 - (h/2)*a_u(t_n,t_n,u_n) is positive.
 When Newton finds no such root, the step is halved locally (up to 40 times);
 exhaustion with evidence of |u| crossing the blow-up cap is reported as
-finite-time blow-up, exhaustion without growth as a step failure.  Once
-a node has that evidence, an attempt whose first slope, at the last
-accepted value, is not positive starts past the fold of the blow-up
-branch and fails at once, without Newton iterations.  This fold stop is
-a heuristic: in seeded fuzzing it never changed a result on blow-up
-kernels, but Newton overshoot on a kernel with an oscillating slope can
-give evidence without a blow-up, and there a stopped attempt may have
-had a root (``tests/test_solver.py::test_fold_stop_is_not_a_proof``).
+finite-time blow-up, exhaustion without growth as a step failure.  The
+first attempt at a grid node takes the full step.  Once a shorter one is
+accepted, each later search towards the same node starts from the step
+just taken, doubled when it needed no halving, so near a blow-up the
+steps shrink geometrically with the solution's time scale (the idea of
+Stuart & Floater, "On the computation of blow-up", 1990) instead of
+halving down from the full remaining step at every subnode.  A solve
+that never refines never meets this rule.
 
 Cost: when the kernel separates as a = sum_k phi_k(t) * psi_k(s, u)
 (``expr.separate``), the history enters through one running trapezoid
@@ -154,11 +154,13 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     Each grid node is reached from the last accepted node (t_cur, u_cur)
     by attempts at shorter and shorter steps: a failed attempt halves
     the step, and an accepted one that falls short of the node adds a
-    refinement subnode.  Subnodes stay in the history, so the quadrature
-    remains consistent; only grid nodes are reported.  ``evidence`` says
-    that an earlier, longer attempt at this node reached |u| > 1e8; it
-    decides BlowUp against StepFailure, and each later attempt at the
-    node gets it for the fold stop of ``newton``.
+    refinement subnode.  A search starts at the remaining step, or at
+    ``h_acc`` if that is shorter: the step the last subnode took, times
+    two if it was accepted at its search's first attempt (infinite at
+    each new grid node).  Subnodes stay in the history, so the
+    quadrature remains consistent; only grid nodes are reported.
+    ``evidence`` says that an earlier, longer attempt of this search
+    reached |u| > 1e8; it decides BlowUp against StepFailure.
 
     An attempt computes f, then the lag, then calls ``newton``; a domain
     failure (NaN from f, or a raise from the direct quadrature) makes
@@ -171,8 +173,7 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     factor leaving its domain, NaN, or overflowing where the kernel does
     not) drops them for good, and the quadrature runs over the stored
     nodes from then on; without sums ``prelude`` gives a NaN lag, so one
-    test serves both.  f goes first, and a NaN f keeps the sums, so they
-    are dropped at the same attempt with or without the fold stop.
+    test serves both.  f goes first, and a NaN f keeps the sums.
     """
     stepper = spec._stepper
     prelude, newton, push = stepper.prelude, stepper.newton, stepper.push
@@ -197,8 +198,10 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
 
     for target in grid.times()[1:].tolist():
         subnodes = 0
+        h_acc = math.inf
         while t_cur < target:
-            h_full = h_loc = target - t_cur
+            h_full = target - t_cur
+            h_loc = min(h_full, h_acc)
             halvings = 0
             evidence = False
             while True:
@@ -213,7 +216,7 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
                         lag = _direct_lag(spec, ht[:m], hu[:m], t_cand)
                     except EvalDomainError:
                         lag = math.nan
-                converged, u_new, max_abs = newton(t_cand, fval + lag, half, u_cur, evidence)
+                converged, u_new, max_abs = newton(t_cand, fval + lag, half, u_cur)
                 if converged and abs(u_new) <= _BLOWUP_CAP:
                     break
                 if max_abs > _BLOWUP_CAP:  # max_abs >= |u_new|
@@ -232,6 +235,7 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
                     break
             if status is not None:
                 break
+            h_acc = (t_cand - t_cur) * (1.0 if halvings else 2.0)
             if m == len(ht):
                 ht = np.concatenate([ht, np.empty_like(ht)])
                 hu = np.concatenate([hu, np.empty_like(hu)])
@@ -269,7 +273,7 @@ def _direct_lag(spec, ht, hu, t_new) -> float:
     return float(np.dot(w, np.broadcast_to(evaluate(spec.a, {"t": t_new, "s": ht, "u": hu}), (m,))))
 
 
-# newton(t, rhs, weight, u_start, blowup_evidence) solves
+# newton(t, rhs, weight, u_start) solves
 # u = rhs + weight * a(t, t, u) by damped Newton from u_start.
 #
 # It returns the plain tuple (converged, value, max_abs): whether an
@@ -295,14 +299,6 @@ def _direct_lag(spec, ht, hu, t_new) -> float:
 # root; only when the start already converged is the slope evaluated at
 # the root.  NaN fails the test.
 #
-# Fold stop: with blowup_evidence from a longer attempt at this node, a
-# first slope at u_start that is not positive (NaN included) ends the
-# attempt after one residual and one slope, with max_abs = |u_start|.  On
-# a blow-up the start then lies past the fold, where failed attempts used
-# to spend about 130 evaluations before their line search gave up.  The
-# evidence is already set, so only a stopped attempt that Newton would
-# have completed can change the result (see the module docstring).
-#
 # max_abs >= |u| holds throughout: each iterate is a trial, and each trial
 # enters max_abs before it can be taken.
 #
@@ -310,7 +306,7 @@ def _direct_lag(spec, ht, hu, t_new) -> float:
 # HOISTED computes the part of a and a_u that does not read u, where a
 # failure would make every residual NaN.
 _NEWTON = """\
-def newton(t, rhs, weight, u_start, blowup_evidence):
+def newton(t, rhs, weight, u_start):
     if rhs != rhs:
         return False, u_start, 0.0
     n = 0
@@ -327,12 +323,9 @@ def newton(t, rhs, weight, u_start, blowup_evidence):
         for _ in range(_NEWTON_ITERATIONS):
             if abs(fu) <= _NEWTON_TOL * (1.0 + abs(u)):
                 break
-            first = d is None
             A_U_AT_U
             n += 1
             d = 1.0 - weight * a_u
-            if first and blowup_evidence and not d > 0.0:
-                return False, u, max_abs
             if not isfinite(d) or abs(d) < _DERIVATIVE_FLOOR:
                 return False, u, max_abs
             step = fu / d
