@@ -7,16 +7,16 @@ accepted nodes, which leaves one implicit scalar equation per step:
 
 solved by damped Newton with the symbolic kernel derivative a_u.  A root
 counts only where the slope 1 - (h/2)*a_u(t_n,t_n,u_n) is positive.
-When Newton finds no such root, the step is halved locally (up to 40 times);
-exhaustion with evidence of |u| crossing the blow-up cap is reported as
-finite-time blow-up, exhaustion without growth as a step failure.  The
-first attempt at a grid node takes the full step.  Once a shorter one is
-accepted, each later search towards the same node starts from the step
-just taken, doubled when it needed no halving, so near a blow-up the
-steps shrink geometrically with the solution's time scale (the idea of
-Stuart & Floater, "On the computation of blow-up", 1990) instead of
-halving down from the full remaining step at every subnode.  A solve
-that never refines never meets this rule.
+When Newton finds no such root, the step is halved locally (up to 40
+times, or until t has no float left).  Exhaustion is finite-time blow-up
+when an attempt's |u| crossed the blow-up cap, or when |u| at the
+accepted nodes runs away (``_runaway``), as a blow-up as steep as that
+of u^7 does long before the cap; any other exhaustion is a step failure.
+The first attempt at a grid node takes the full step; each later search
+towards it starts from the last sub-step accepted (see :func:`solve`),
+so near a blow-up the steps shrink geometrically with the solution's
+time scale, as in Stuart & Floater, "On the computation of blow-up"
+(1990).  A solve that never refines never meets this rule.
 
 Cost: when the kernel separates as a = sum_k phi_k(t) * psi_k(s, u)
 (``expr.separate``), the history enters through one running trapezoid
@@ -154,13 +154,15 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     Each grid node is reached from the last accepted node (t_cur, u_cur)
     by attempts at shorter and shorter steps: a failed attempt halves
     the step, and an accepted one that falls short of the node adds a
-    refinement subnode.  A search starts at the remaining step, or at
-    ``h_acc`` if that is shorter: the step the last subnode took, times
-    two if it was accepted at its search's first attempt (infinite at
-    each new grid node).  Subnodes stay in the history, so the
-    quadrature remains consistent; only grid nodes are reported.
+    refinement subnode.  The first search towards a node starts at the
+    full remaining step, each later one at the remaining step or, if
+    that is longer, at the step the last subnode took, times two if it
+    was accepted at its search's first attempt.  Subnodes stay in the
+    history, so the quadrature remains consistent; only grid nodes are
+    reported.
     ``evidence`` says that an earlier, longer attempt of this search
-    reached |u| > 1e8; it decides BlowUp against StepFailure.
+    reached |u| > 1e8; it and ``_runaway`` over the accepted nodes
+    decide BlowUp against StepFailure.
 
     An attempt computes f, then the lag, then calls ``newton``; a domain
     failure (NaN from f, or a raise from the direct quadrature) makes
@@ -198,10 +200,8 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
 
     for target in grid.times()[1:].tolist():
         subnodes = 0
-        h_acc = math.inf
-        while t_cur < target:
-            h_full = target - t_cur
-            h_loc = min(h_full, h_acc)
+        h_full = h_loc = target - t_cur
+        while True:
             halvings = 0
             evidence = False
             while True:
@@ -225,7 +225,7 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
                 h_loc *= 0.5
                 if halvings > _MAX_HALVINGS or t_cur + h_loc <= t_cur:
                     # Bracket: last accepted time and the smallest step that failed.
-                    if evidence:
+                    if evidence or _runaway(ht[:m], hu[:m]):
                         status = BlowUp(t_star=0.5 * (t_cur + t_cand))
                     else:
                         status = StepFailure(
@@ -235,7 +235,6 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
                     break
             if status is not None:
                 break
-            h_acc = (t_cand - t_cur) * (1.0 if halvings else 2.0)
             if m == len(ht):
                 ht = np.concatenate([ht, np.empty_like(ht)])
                 hu = np.concatenate([hu, np.empty_like(hu)])
@@ -245,9 +244,15 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
             if closed is not None:
                 push(t_cand, u_new, half, closed, last)
             subnodes += 1
-            if subnodes > _MAX_SUBNODES and t_cur < target:
+            if not t_cur < target:
+                break
+            if subnodes > _MAX_SUBNODES:
                 status = StepFailure(t=t_cur, reason="local refinement budget exhausted")
                 break
+            # The next search starts from the step just taken, 2 * half,
+            # doubled when it needed no halving.
+            h_full = target - t_cur
+            h_loc = min(h_full, half * (2.0 if halvings else 4.0))
         if status is not None:
             break
         values.append(u_cur)
@@ -255,6 +260,27 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     traj_values = np.array(values, dtype=float)
     traj_values.flags.writeable = False
     return Trajectory(grid=grid, values=traj_values, status=status or Completed())
+
+
+def _runaway(ht, hu) -> bool:
+    """Whether |u| doubled three times up to the last node, each doubling
+    at most half as long as the one before (the times where |u|, linear
+    between nodes, last rose through |u_last|/2, /4 and /8).
+
+    Near u ~ (t* - t)^-g with g <= 1 the doubling times form a geometric
+    series of ratio 2^(-1/g) <= 1/2, so t* lies within the last
+    doubling's length of the last node.  Steps that follow u' = u^7 run t
+    out of floats with u near 500, far below the cap."""
+    a = np.abs(hu)
+    times = [ht[-1]]
+    for level in a[-1] / np.array([2.0, 4.0, 8.0]):
+        below = np.flatnonzero(a <= level)
+        if not (level > 0.0 and below.size):
+            return False
+        i = below[-1]  # before the last node, which is above the level
+        times.append(ht[i] + (level - a[i]) / (a[i + 1] - a[i]) * (ht[i + 1] - ht[i]))
+    d1, d2, d3 = np.subtract(times[:-1], times[1:])
+    return bool(0.0 < d1 <= 0.5 * d2 and d2 <= 0.5 * d3)
 
 
 def _direct_lag(spec, ht, hu, t_new) -> float:

@@ -323,6 +323,37 @@ def test_quartic_blow_up_golden_with_few_evaluations(monkeypatch):
     assert calls["array"] == 0 and made() <= 25_000
 
 
+def test_steep_blow_up_below_the_cap_is_read_from_the_doubling_times():
+    # u = c + int u^7 blows up at t* = c^-6/6.  Its steps shrink with the
+    # blow-up's time scale until t has no float left between the last node
+    # and the next, with u near 500: no attempt reaches the 1e8 cap, but
+    # |u| doubled at intervals shrinking by about 64.  Without the doubling
+    # test each of these solves reads StepFailure.
+    env = ExponentialDecayData(1, 0, 1, 0, 0, 0, 1)
+    for c, steps in ((1.0, 100), (0.5, 50), (1.5, 199)):
+        t_star = c**-6 / 6
+        traj = solve(build_problem(repr(c), "u^7", env), Grid(t_end=2 * t_star, h=2 * t_star / steps))
+        assert isinstance(traj.status, BlowUp) and traj.status.t_star == pytest.approx(t_star, rel=1e-2)
+    # Blow-up inside the first grid interval at all three steps; before
+    # the doubling test the two coarser steps read StepFailure.
+    spec = build_problem("10*exp(-t)", "0.01*exp(-(t+s))*u^7", ExponentialDecayData(20, 1, 0.1, 2, 0.1, 1, 0.5))
+    for h in (1e-2, 1e-4, 1e-6):
+        status = solve(spec, Grid(t_end=1.0, h=h)).status
+        assert isinstance(status, BlowUp) and 1.5e-5 < status.t_star < 1.7e-5, h
+
+
+def test_runaway_needs_three_doublings_each_at_most_half_as_long():
+    t = 1.0 - 0.5 ** np.arange(50.0)
+    assert solver._runaway(t, (1.0 - t) ** -0.5)  # ratio 1/4
+    assert solver._runaway(t, -((1.0 - t) ** (-1 / 6)))  # ratio 1/64, either sign
+    assert not solver._runaway(t, (1.0 - t) ** -2.0)  # ratio 2^(-1/2): the cap's case
+    assert not solver._runaway(t[:15], (1.0 - t[:15]) ** (-1 / 6))  # two doublings only
+    s = np.linspace(0.0, 10.0, 1001)
+    assert not solver._runaway(s, np.exp(s))  # doubling at a constant pace
+    assert not solver._runaway(s, 11.0 - s)  # falling
+    assert not solver._runaway(s, np.where(s < 10.0, 1.0, 100.0))  # one jump
+
+
 # ---------------------------------------------------------------------------
 # Separable kernels: running lag sums against the direct quadrature
 # ---------------------------------------------------------------------------
