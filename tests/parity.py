@@ -10,8 +10,9 @@ evaluations of the generated step functions, the first 16 hex digits of
 the sha256 of the values' bytes, the status's time (t_star or t, else
 -), and the problem: f, a, t_end and the number of steps.  Case i of a
 seed does not depend on ``--count``, so a short run is a prefix of a
-long one.  With ``--kinds`` each line is only id, kind, f and a: the
-form of ``parity_slice.txt``, which ``test_parity.py`` checks in tier 1.
+long one.  Columns 1, 2, 9 and 10 (id, kind, f, a) of the first 100
+cases of seed 1 are ``parity_slice.txt``, which ``test_parity.py``
+checks in tier 1.
 
 The families are blow-up powers u^k; the same under a fading memory,
 exp(-m*(t-s))*u^k; atan kernels, split and not; cos(u)^2*u, whose slope
@@ -116,16 +117,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=3000)
-    parser.add_argument("--kinds", action="store_true", help="print only id, kind, f and a")
     args = parser.parse_args(argv)
     for index in range(args.count):
         f_text, a_text, t_end, steps = case(args.seed, index)
         r = run(f_text, a_text, t_end, steps)
-        if args.kinds:
-            fields = [index, r["kind"], f_text, a_text]
-        else:
-            fields = [index, r["kind"], r["nodes"], r["subnodes"], r["attempts"], r["evaluations"],
-                      r["sha"], r["time"], f_text, a_text, repr(t_end), steps]
+        fields = [index, r["kind"], r["nodes"], r["subnodes"], r["attempts"], r["evaluations"],
+                  r["sha"], r["time"], f_text, a_text, repr(t_end), steps]
         print("\t".join(map(str, fields)))
     return 0
 
