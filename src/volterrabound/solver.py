@@ -159,10 +159,9 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     that is longer, at the step the last subnode took, times two if it
     was accepted at its search's first attempt.  Subnodes stay in the
     history, so the quadrature remains consistent; only grid nodes are
-    reported.
-    ``evidence`` says that an earlier, longer attempt of this search
-    reached |u| > 1e8; it and ``_runaway`` over the accepted nodes
-    decide BlowUp against StepFailure.
+    reported.  ``evidence`` says that an earlier, longer attempt of this
+    search reached |u| > 1e8; it and ``_runaway`` over the accepted
+    nodes decide BlowUp against StepFailure.
 
     An attempt computes f, then the lag, then calls ``newton``; a domain
     failure (NaN from f, or a raise from the direct quadrature) makes
