@@ -10,9 +10,9 @@ evaluations of the generated step functions, the first 16 hex digits of
 the sha256 of the values' bytes, the status's time (t_star or t, else
 -), and the problem: f, a, t_end and the number of steps.  Case i of a
 seed does not depend on ``--count``, so a short run is a prefix of a
-long one.  Columns 1, 2, 9 and 10 (id, kind, f, a) of the first 100
-cases of seed 1 are ``parity_slice.txt``, which ``test_parity.py``
-checks in tier 1.
+long one.  Columns 1, 2, 3, 8, 9 and 10 (id, kind, nodes, time, f, a)
+of the first 100 cases of seed 1 are ``parity_slice.txt``, which
+``test_parity.py`` checks in tier 1.
 
 The families are blow-up powers u^k; the same under a fading memory,
 exp(-m*(t-s))*u^k; atan kernels, split and not; cos(u)^2*u, whose slope
