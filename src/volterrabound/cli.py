@@ -44,7 +44,6 @@ from .model import (
     problem_from_dict,
     validate_decay,
 )
-from .model import _check_sample_ranges
 from .solver import BlowUp, Completed, Grid, StepFailure, solve, write_trajectory_csv
 from .solver import _status_fields, _trajectory_csv
 
@@ -142,11 +141,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_problem(args.problem)
-    # validate_decay would reject these only after the whole solve.
-    _check_sample_ranges(args.t_max, args.u_max)
+    # Certify first: its input errors then end the run before the solve.
+    report, cert, data = _certify_pipeline(spec, args.t_max, args.u_max)
     grid = Grid(t_end=args.t_end, h=args.step)
     traj = solve(spec, grid)
-    report, cert, data = _certify_pipeline(spec, args.t_max, args.u_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

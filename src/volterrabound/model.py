@@ -272,13 +272,6 @@ def _json_float(x: Optional[float]):
     return x if math.isfinite(x) else repr(x)
 
 
-def _check_sample_ranges(t_max: float, u_max: float) -> None:
-    """The ranges :func:`validate_decay` can sample, or ValueError."""
-    half = sys.float_info.max / 2
-    if not (0.0 < t_max < math.inf and 0.0 < u_max <= half):
-        raise ValueError(f"t_max must be finite and > 0, and u_max in (0, {half!r}]")
-
-
 def validate_decay(spec: ProblemSpec, t_max: float, u_max: float) -> ValidationReport:
     """Sample the decay hypotheses on a deterministic grid.
 
@@ -298,7 +291,9 @@ def validate_decay(spec: ProblemSpec, t_max: float, u_max: float) -> ValidationR
     ``u_max`` at most half the largest float, past which the width of
     [-u_max, u_max] overflows; otherwise this raises ValueError.
     """
-    _check_sample_ranges(t_max, u_max)
+    half = sys.float_info.max / 2
+    if not (0.0 < t_max < math.inf and 0.0 < u_max <= half):
+        raise ValueError(f"t_max must be finite and > 0, and u_max in (0, {half!r}]")
     env = spec.envelope
     ts = np.linspace(0.0, t_max, _T_SAMPLES)
     us = np.linspace(-u_max, u_max, _U_SAMPLES)

@@ -8,10 +8,12 @@ accepted nodes, which leaves one implicit scalar equation per step:
 solved by damped Newton with the symbolic kernel derivative a_u.  A root
 counts only where the slope 1 - (h/2)*a_u(t_n,t_n,u_n) is positive.
 When Newton finds no such root, the step is halved locally (up to 40
-times, or until t has no float left).  Exhaustion is finite-time blow-up
-when an attempt's |u| crossed the blow-up cap, or when |u| at the
-accepted nodes runs away (``_runaway``), as a blow-up as steep as that
-of u^7 does long before the cap; any other exhaustion is a step failure.
+times, or until t has no float left), and halved again without an
+attempt while it rounds to the time that failed.  Exhaustion is
+finite-time blow-up when an attempt's |u| crossed the blow-up cap, or
+when |u| at the accepted nodes runs away (``_runaway``), as a blow-up as
+steep as that of u^7 does long before the cap; any other exhaustion is a
+step failure.
 The first attempt at a grid node takes the full step; each later search
 towards it starts from the last sub-step accepted (see :func:`solve`),
 so near a blow-up the steps shrink geometrically with the solution's
@@ -37,12 +39,12 @@ counts its evaluations in a local and adds them to
 goes through ``evaluate``, once per attempt.  Each attempt's Newton
 result is a plain tuple.
 
-Structure: the march is one loop in :func:`solve`, which holds the grid
-nodes, the local halving and refinement, and the running sums as local
-lists.  It calls the three step functions directly: an attempt calls
-``prelude`` and ``newton``, an accepted one ``push``.  Python call
-overhead, not kernel work, bounds the stepping, so no frame runs per
-residual, and none between ``solve`` and the step functions.
+Structure: the march is two loops in :func:`solve`, over the grid nodes
+and over the attempts towards one, with the running sums as local lists.
+It calls the three step functions directly: an attempt calls ``prelude``
+and ``newton``, an accepted one ``push``.  Python call overhead, not
+kernel work, bounds the stepping, so no frame runs per residual, and
+none between ``solve`` and the step functions.
 """
 
 from __future__ import annotations
@@ -151,17 +153,18 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     on repeated runs).  Values stop at the last grid node accepted
     before blow-up or failure.
 
-    Each grid node is reached from the last accepted node (t_cur, u_cur)
-    by attempts at shorter and shorter steps: a failed attempt halves
-    the step, and an accepted one that falls short of the node adds a
-    refinement subnode.  The first search towards a node starts at the
-    full remaining step, each later one at the remaining step or, if
+    One loop of attempts reaches each grid node from the last accepted
+    node (t_cur, u_cur): a failed attempt halves the step ``h``, and an
+    accepted one that falls short of the node adds a refinement subnode
+    and starts a new search.  The first search towards a node starts at
+    the full remaining step, each later one at the remaining step or, if
     that is longer, at the step the last subnode took, times two if it
-    was accepted at its search's first attempt.  Subnodes stay in the
-    history, so the quadrature remains consistent; only grid nodes are
-    reported.  ``evidence`` says that an earlier, longer attempt of this
-    search reached |u| > 1e8; it and ``_runaway`` over the accepted
-    nodes decide BlowUp against StepFailure.
+    was accepted at its search's first attempt.  A halved step that still
+    rounds to the time just tried is halved again, no attempt made twice.
+    Subnodes stay in the history, so the quadrature remains consistent;
+    only grid nodes are reported.  ``evidence`` says that an earlier,
+    longer attempt of this search reached |u| > 1e8; it and ``_runaway``
+    over the accepted nodes decide BlowUp against StepFailure.
 
     An attempt computes f, then the lag, then calls ``newton``; a domain
     failure (NaN from f, or a raise from the direct quadrature) makes
@@ -198,60 +201,60 @@ def solve(spec: ProblemSpec, grid: Grid) -> Trajectory:
     status: Status | None = None
 
     for target in grid.times()[1:].tolist():
-        subnodes = 0
-        h_full = h_loc = target - t_cur
+        subnodes = halvings = 0
+        evidence = False
+        h = target - t_cur
         while True:
-            halvings = 0
-            evidence = False
-            while True:
-                # Land on the grid node exactly; rounding of t_cur + h_loc
-                # must not perturb where f and the kernel are sampled.
-                t_cand = target if h_loc == h_full else t_cur + h_loc
-                half = 0.5 * (t_cand - t_cur)
-                fval, lag = prelude(t_cand, half, closed, last)
-                if fval == fval and not math.isfinite(lag):
-                    closed = last = None
-                    try:
-                        lag = _direct_lag(spec, ht[:m], hu[:m], t_cand)
-                    except EvalDomainError:
-                        lag = math.nan
-                converged, u_new, max_abs = newton(t_cand, fval + lag, half, u_cur)
-                if converged and abs(u_new) <= _BLOWUP_CAP:
+            # Land on the grid node exactly; rounding of t_cur + h must not
+            # perturb where f and the kernel are sampled.
+            t_cand = target if h == target - t_cur else t_cur + h
+            half = 0.5 * (t_cand - t_cur)
+            fval, lag = prelude(t_cand, half, closed, last)
+            if fval == fval and not math.isfinite(lag):
+                closed = last = None
+                try:
+                    lag = _direct_lag(spec, ht[:m], hu[:m], t_cand)
+                except EvalDomainError:
+                    lag = math.nan
+            converged, u_new, max_abs = newton(t_cand, fval + lag, half, u_cur)
+            if converged and abs(u_new) <= _BLOWUP_CAP:
+                if m == len(ht):
+                    ht = np.concatenate([ht, np.empty_like(ht)])
+                    hu = np.concatenate([hu, np.empty_like(hu)])
+                ht[m] = t_cur = t_cand
+                hu[m] = u_cur = u_new
+                m += 1
+                if closed is not None:
+                    push(t_cand, u_new, half, closed, last)
+                if not t_cur < target:
                     break
-                if max_abs > _BLOWUP_CAP:  # max_abs >= |u_new|
-                    evidence = True
+                subnodes += 1
+                if subnodes > _MAX_SUBNODES:
+                    status = StepFailure(t=t_cur, reason="local refinement budget exhausted")
+                    break
+                # The next search starts from the step just taken, 2 * half,
+                # doubled when it needed no halving.
+                h = min(target - t_cur, half * (2.0 if halvings else 4.0))
+                halvings = 0
+                evidence = False
+                continue
+            if max_abs > _BLOWUP_CAP:  # max_abs >= |u_new|
+                evidence = True
+            halvings += 1
+            h *= 0.5
+            # A step that still rounds to t_cand would repeat the attempt
+            # just failed: halve on, counting each halving it would have.
+            while t_cur + h == t_cand and halvings <= _MAX_HALVINGS:
                 halvings += 1
-                h_loc *= 0.5
-                if halvings > _MAX_HALVINGS or t_cur + h_loc <= t_cur:
-                    # Bracket: last accepted time and the smallest step that failed.
-                    if evidence or _runaway(ht[:m], hu[:m]):
-                        status = BlowUp(t_star=0.5 * (t_cur + t_cand))
-                    else:
-                        status = StepFailure(
-                            t=t_cur,
-                            reason="step solve failed without |u| growth after local halving",
-                        )
-                    break
-            if status is not None:
+                h *= 0.5
+            if halvings > _MAX_HALVINGS or t_cur + h <= t_cur:
+                # Bracket: last accepted time and the smallest step that failed.
+                if evidence or _runaway(ht[:m], hu[:m]):
+                    status = BlowUp(t_star=0.5 * (t_cur + t_cand))
+                else:
+                    status = StepFailure(
+                        t=t_cur, reason="step solve failed without |u| growth after local halving")
                 break
-            if m == len(ht):
-                ht = np.concatenate([ht, np.empty_like(ht)])
-                hu = np.concatenate([hu, np.empty_like(hu)])
-            ht[m] = t_cur = t_cand
-            hu[m] = u_cur = u_new
-            m += 1
-            if closed is not None:
-                push(t_cand, u_new, half, closed, last)
-            subnodes += 1
-            if not t_cur < target:
-                break
-            if subnodes > _MAX_SUBNODES:
-                status = StepFailure(t=t_cur, reason="local refinement budget exhausted")
-                break
-            # The next search starts from the step just taken, 2 * half,
-            # doubled when it needed no halving.
-            h_full = target - t_cur
-            h_loc = min(h_full, half * (2.0 if halvings else 4.0))
         if status is not None:
             break
         values.append(u_cur)

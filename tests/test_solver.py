@@ -323,6 +323,21 @@ def test_quartic_blow_up_golden_with_few_evaluations(monkeypatch):
     assert calls["array"] == 0 and made() <= 25_000
 
 
+def test_no_attempt_repeats_the_one_before(monkeypatch):
+    # u = 1 + int u^2.5 on steps of t*/1000 ends where t has no float
+    # left.  A halved step that still rounds to the time just tried would
+    # repeat that attempt with the same inputs and fail the same way, as
+    # its last attempt once did.
+    t_star = 2.0 / 3.0
+    spec = build_problem("1.0", "u^2.5", ExponentialDecayData(1, 0, 1, 0, 0, 0, 1.25))
+    attempts = []
+    newton = spec._stepper.newton
+    monkeypatch.setattr(spec._stepper, "newton", lambda *args: attempts.append(args) or newton(*args))
+    traj = solve(spec, Grid(t_end=2.0 * t_star, h=t_star / 1000))
+    assert traj.status == BlowUp(t_star=0.6664164886045785)
+    assert [i for i in range(1, len(attempts)) if attempts[i] == attempts[i - 1]] == []
+
+
 def test_steep_blow_up_below_the_cap_is_read_from_the_doubling_times():
     # u = c + int u^7 blows up at t* = c^-6/6.  Its steps shrink with the
     # blow-up's time scale until t has no float left between the last node
