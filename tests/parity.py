@@ -1,14 +1,16 @@
-"""A seeded corpus of solves, one line per case, for parity checks.
+"""A seeded corpus of solves or certificate searches, one line per case,
+for parity checks.
 
 Run it on two commits and diff the outputs:
 
     PYTHONPATH=src python tests/parity.py --seed 1 --count 3000 > before.txt
 
-Each line holds, tab-separated: the case id, the status kind, the grid
-values reached, the refinement subnodes and Newton attempts taken, the
-evaluations of the generated step functions, the first 16 hex digits of
-the sha256 of the values' bytes, the status's time (t_star or t, else
--), and the problem: f, a, t_end and the number of steps.  Case i of a
+With ``--operation solve`` (the default) each line holds, tab-separated:
+the case id, the status kind, the grid values reached, the refinement
+subnodes and Newton attempts taken, the evaluations of the generated
+step functions, the first 16 hex digits of the sha256 of the values'
+bytes, the status's time (t_star or t, else -), and the problem: f, a,
+t_end and the number of steps.  Case i of a
 seed does not depend on ``--count``, so a short run is a prefix of a
 long one.  Columns 1, 2, 3, 8, 9 and 10 (id, kind, nodes, time, f, a)
 of the first 100 cases of seed 1 are ``parity_slice.txt``, which
@@ -20,6 +22,19 @@ swings through zero every unit of u; (1+cos(u))*u^2, whose growth stops
 at u = pi; and sqrt(u) under a falling forcing, which leaves the domain.
 The kinds are the same on any platform short of a change to the solver;
 the values' bits are this platform's math and numpy.
+
+With ``--operation search`` each case is one certificate search, on an
+exponential or a power-law decay record in turn.  Its line holds, tab-
+separated: the case id, the weight family, the verdict (certified or
+refused), the reprs of the coefficient, rate and margin at t = 0 (- where
+there is none), the refusal's reason (or strict / non-strict), the tail
+exponents, and the inputs: the initial value and the decay record.  A
+search that raises prints ``raised <Type>: <message>`` in place of its
+verdict fields.  The records take p in {0.25, 1/2, 0.75, 1, 1.5, 3} or
+at random, amplitudes 0, O(1), 10^U(-300, 308) or 1e308, rates of
+either sign or 0, and initial values 0, 5e-324, O(1) or up to 1e308.
+The sha256 of the first 2 000 lines of seed 1 is pinned in
+``test_parity.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +44,16 @@ import hashlib
 import random
 import sys
 
-from volterrabound import ExponentialDecayData, Grid, build_problem, solve
+from volterrabound import (
+    ExponentialDecayData,
+    Grid,
+    InequalityData,
+    PowerDecayData,
+    build_problem,
+    search_exponential,
+    search_power,
+    solve,
+)
 from volterrabound.solver import _BLOWUP_CAP, _status_fields
 
 # The envelope does not enter a solve.
@@ -113,17 +137,81 @@ def run(f_text: str, a_text: str, t_end: float, steps: int) -> dict:
     }
 
 
+def solve_line(seed: int, index: int) -> str:
+    f_text, a_text, t_end, steps = case(seed, index)
+    r = run(f_text, a_text, t_end, steps)
+    fields = [index, r["kind"], r["nodes"], r["subnodes"], r["attempts"], r["evaluations"],
+              r["sha"], r["time"], f_text, a_text, repr(t_end), steps]
+    return "\t".join(map(str, fields))
+
+
+def _amplitude(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0.0
+    if kind == 1:
+        return rng.uniform(0.0, 3.0)
+    return 10.0 ** rng.uniform(-300.0, 308.0) if kind == 2 else 1e308
+
+
+def _rate(rng):
+    # Exponential rates, or power-law orders; below 1 an order is a
+    # negative rate in log time.
+    kind = rng.randrange(8)
+    if kind < 2:
+        return rng.uniform(-3.0, 0.0) if kind == 0 else 0.0
+    return rng.uniform(0.0, 5.0) if kind < 7 else rng.uniform(5.0, 50.0)
+
+
+def _initial(rng):
+    kind = rng.randrange(4)
+    if kind < 2:
+        return (0.0, 5e-324)[kind]
+    return rng.uniform(0.0, 5.0) if kind == 2 else 10.0 ** rng.uniform(100.0, 308.0)
+
+
+def search_case(seed: int, index: int) -> tuple:
+    """Search case ``index`` of ``seed``: (initial, decay record), the
+    record exponential for even ``index`` and power-law for odd."""
+    rng = random.Random(f"{seed}-search-{index}")
+    p = rng.choice((0.25, 0.5, 0.75, 1.0, 1.5, 3.0, None)) or rng.uniform(0.05, 4.0)
+    constants = [f(rng) for f in (_amplitude, _rate) * 3]
+    record = (ExponentialDecayData, PowerDecayData)[index % 2](*constants, p)
+    return _initial(rng), record
+
+
+def search_line(seed: int, index: int) -> str:
+    initial, record = search_case(seed, index)
+    power = isinstance(record, PowerDecayData)
+    try:
+        cert = (search_power if power else search_exponential)(InequalityData(initial, record))
+    except Exception as exc:
+        verdict = [f"raised {type(exc).__name__}: {exc}"]
+    else:
+        weight, margin = cert.weight, cert.margin_min
+        if cert.certified:
+            reason = "strict" if cert.verdict.strict else "non-strict"
+        else:
+            reason = cert.verdict.reason
+        verdict = [cert.to_dict()["verdict"],
+                   *(("-", "-") if weight is None else (repr(weight.coefficient), repr(weight.rate))),
+                   "-" if margin is None else repr(margin), reason, repr(cert.tail_check.exponents)]
+    fields = [index, "power" if power else "exponential", *verdict, repr(initial), repr(record)]
+    return "\t".join(map(str, fields))
+
+
+OPERATIONS = {"solve": solve_line, "search": search_line}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--operation", choices=OPERATIONS, default="solve")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=3000)
     args = parser.parse_args(argv)
+    line = OPERATIONS[args.operation]
     for index in range(args.count):
-        f_text, a_text, t_end, steps = case(args.seed, index)
-        r = run(f_text, a_text, t_end, steps)
-        fields = [index, r["kind"], r["nodes"], r["subnodes"], r["attempts"], r["evaluations"],
-                  r["sha"], r["time"], f_text, a_text, repr(t_end), steps]
-        print("\t".join(map(str, fields)))
+        print(line(args.seed, index))
     return 0
 
 
