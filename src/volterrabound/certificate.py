@@ -415,7 +415,7 @@ def _search(data: InequalityData, family: type) -> Certificate:
         # The level function h(c) = total*c + state_total*c**(1-2p) is
         # convex with its minimum where h'(c) = 0; the rate is the cap.
         c_star = ((2.0 * d.p - 1.0) * state_total / total) ** (1.0 / (2.0 * d.p))
-        coefficient = min(max(c_star, lo), hi)
+        coefficient = min(hi, max(lo, c_star))  # a NaN c* (inf/inf) lands on lo
         level = total * coefficient + state_total * _power(coefficient, 1.0 - 2.0 * d.p)
         if level > cap:
             return _refusal(

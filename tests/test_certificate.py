@@ -268,6 +268,18 @@ def test_search_level_overflow_is_a_refusal():
     assert "min h = inf" in cert.verdict.reason
 
 
+def test_search_with_overflowing_state_amplitudes_is_a_refusal():
+    # c1 + c2 overflows, so c* = (2p-1)*inf/inf is NaN.  The clip sends it
+    # to the bracket's left end, where the level is infinite.
+    for search, decay in (
+        (search_exponential, ExponentialDecayData(1e308, 1.0, 1e308, 2.0, 1e308, 1.0, 1.0)),
+        (search_power, PowerDecayData(1e308, 2.0, 1e308, 3.0, 1e308, 2.0, 1.0)),
+    ):
+        cert = search(InequalityData(1.0, decay))
+        assert isinstance(cert.verdict, Refused)
+        assert "level condition failed: min h = inf" in cert.verdict.reason
+
+
 def test_search_requires_exponential_data():
     data = InequalityData(0.0, PowerDecayData(1.0, 2.0, 0, 0, 0, 0, 1.0))
     with pytest.raises(ValueError, match="exponential decay data"):

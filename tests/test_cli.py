@@ -66,6 +66,18 @@ def test_solve_blowup_exit_code_and_message(tmp_path, capsys):
     assert capsys.readouterr().out == "blow-up detected near t=1.64e-05\n"
 
 
+def test_certify_refuses_when_the_state_amplitudes_overflow(tmp_path, capsys):
+    # c1 + c2 overflows in the search: a refusal (exit 2), not an error.
+    problem = write_problem(tmp_path / "p.json", {
+        "f": "exp(-t)", "a": "exp(-(t+s))*atan(u)", "c0": 1e308, "b0": 1,
+        "c1": 1e308, "b1": 2, "c2": 1e308, "b": 1, "p": 1})
+    code = run(["certify", "--problem", problem, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.startswith("no certificate: level condition failed: min h = inf")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
     # The atomic write goes through a temporary file, which is created
