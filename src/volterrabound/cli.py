@@ -19,9 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -49,8 +47,6 @@ from .solver import _status_fields, _trajectory_csv
 
 __all__ = ["main"]
 
-log = logging.getLogger("volterra")
-
 _EXIT_OK = 0
 _EXIT_ERROR = 1
 _EXIT_REFUSED = 2
@@ -70,14 +66,6 @@ _DEMO_PROBLEM = {
 }
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("VOLTERRA_LOG", "warning").lower()
-    level = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING}.get(
-        level_name, logging.WARNING
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -90,8 +78,6 @@ def _certify_pipeline(
     spec: ProblemSpec, t_max: float, u_max: float
 ) -> tuple[ValidationReport, Certificate, InequalityData]:
     report = validate_decay(spec, t_max=t_max, u_max=u_max)
-    if not report.passed:
-        log.info("decay hypotheses failed numerical validation")
     data = derive_inequality(spec)
     cert = search_exponential(data)
     return report, cert, data
@@ -296,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)

@@ -2,6 +2,8 @@
 
 Every output is written to a temporary file in its own directory and
 renamed into place, so readers never observe a partially written file.
+The temporary file is created as a plain ``open`` creates a file, so the
+output gets the same mode.
 CSV files are streamed: no file's whole text is held in memory.
 """
 
@@ -9,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 from pathlib import Path
 
 __all__ = ["write_text_atomic", "write_csv_atomic"]
@@ -22,24 +23,22 @@ _CSV_CHUNK = 1024
 
 @contextlib.contextmanager
 def _atomic_files(paths):
-    """Yield one text handle per path, open on a temporary file beside
-    it.  On success each file gets the mode a plain ``open`` would give
-    it, 0o666 less the umask, and is renamed onto its path; on failure
-    every temporary file is removed."""
+    """Yield one text handle per path, open on a new file beside it,
+    named ``<name>.<random hex>`` and created with mode 0o666 as a plain
+    ``open`` creates it, so that the umask (and a default ACL) applies.
+    On success each file is renamed onto its path; on failure every
+    temporary file is removed."""
     handles, names = [], []
     try:
         for path in paths:
-            path = Path(path)
-            fd, name = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
+            name = f"{path}.{os.urandom(8).hex()}"
+            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             names.append(name)
             handles.append(os.fdopen(fd, "w"))
         yield handles
         for handle in handles:
             handle.close()
-        umask = os.umask(0)
-        os.umask(umask)
         for name, path in zip(names, paths):
-            os.chmod(name, 0o666 & ~umask)
             os.replace(name, path)
     except BaseException:
         for handle in handles:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import os
 import stat
@@ -92,6 +93,26 @@ def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
         os.umask(previous)
     assert code == 0
     assert stat.S_IMODE((out / "trajectory.csv").stat().st_mode) == mode
+
+
+def test_runs_read_nothing_from_the_process_environment(tmp_path, capsys, caplog, monkeypatch):
+    # Writing outputs neither sets the umask nor changes a file's mode,
+    # and VOLTERRA_LOG is not read: no record reaches the log.
+    def process_wide(*args):
+        raise AssertionError("process-wide call")
+
+    monkeypatch.setattr(os, "umask", process_wide)
+    monkeypatch.setattr(os, "chmod", process_wide)
+    problem = write_problem(tmp_path / "p.json", ATAN_PROBLEM)
+    for command in ("solve", "verify"):
+        out = str(tmp_path / command)
+        assert run([command, "--problem", problem, "--t-end", "1", "--step", "0.1", "--out", out]) == 0
+    monkeypatch.setenv("VOLTERRA_LOG", "info")
+    caplog.set_level(logging.INFO)
+    problem = write_problem(tmp_path / "quadratic.json", QUADRATIC_PROBLEM)
+    assert run(["certify", "--problem", problem, "--out", str(tmp_path / "certify")]) == 2
+    assert "decay hypotheses failed validation" in capsys.readouterr().out
+    assert [r for r in caplog.records if r.name.startswith("volterra")] == []
 
 
 def test_solve_step_must_divide_t_end(tmp_path, capsys):
