@@ -10,11 +10,11 @@ the case id, the status kind, the grid values reached, the refinement
 subnodes and Newton attempts taken, the evaluations of the generated
 step functions, the first 16 hex digits of the sha256 of the values'
 bytes, the status's time (t_star or t, else -), and the problem: f, a,
-t_end and the number of steps.  Case i of a
-seed does not depend on ``--count``, so a short run is a prefix of a
-long one.  Columns 1, 2, 3, 8, 9 and 10 (id, kind, nodes, time, f, a)
-of the first 100 cases of seed 1 are ``parity_slice.txt``, which
-``test_parity.py`` checks in tier 1.
+t_end and the number of steps.  Case i of a seed does not depend on
+``--count``, so a short run is a prefix of a long one.  Columns 1, 2, 3,
+8, 9 and 10 (id, kind, nodes, time, f, a) of the first 100 cases of
+seed 1 are ``parity_slice.txt``, which ``test_parity.py`` checks in
+tier 1.
 
 The families are blow-up powers u^k; the same under a fading memory,
 exp(-m*(t-s))*u^k; atan kernels, split and not; cos(u)^2*u, whose slope
@@ -183,20 +183,22 @@ def search_case(seed: int, index: int) -> tuple:
 def search_line(seed: int, index: int) -> str:
     initial, record = search_case(seed, index)
     power = isinstance(record, PowerDecayData)
+    fields = [index, "power" if power else "exponential"]
     try:
         cert = (search_power if power else search_exponential)(InequalityData(initial, record))
     except Exception as exc:
-        verdict = [f"raised {type(exc).__name__}: {exc}"]
+        fields.append(f"raised {type(exc).__name__}: {exc}")
     else:
-        weight, margin = cert.weight, cert.margin_min
         if cert.certified:
+            fields.append("certified")
             reason = "strict" if cert.verdict.strict else "non-strict"
         else:
+            fields.append("refused")
             reason = cert.verdict.reason
-        verdict = [cert.to_dict()["verdict"],
-                   *(("-", "-") if weight is None else (repr(weight.coefficient), repr(weight.rate))),
-                   "-" if margin is None else repr(margin), reason, repr(cert.tail_check.exponents)]
-    fields = [index, "power" if power else "exponential", *verdict, repr(initial), repr(record)]
+        weight, margin = cert.weight, cert.margin_min
+        fields += ["-", "-"] if weight is None else [repr(weight.coefficient), repr(weight.rate)]
+        fields += ["-" if margin is None else repr(margin), reason, repr(cert.tail_check.exponents)]
+    fields += [repr(initial), repr(record)]
     return "\t".join(map(str, fields))
 
 
