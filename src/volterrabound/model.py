@@ -345,16 +345,30 @@ def _kernel_diagonal(spec, env, ts, us, two_p):
     return bound - av, {"t": tt, "u": uu}
 
 
+def _s_rows(ts, count):
+    """Row i is np.linspace(0.0, ts[i], count) bit for bit: numpy's own
+    steps over the whole t column.  One linspace over the column rounds
+    differently."""
+    div = count - 1
+    steps = np.arange(count, dtype=float)
+    step = ts / div
+    rows = steps * step[:, None]
+    under = step == 0  # numpy's branch for a step that underflows
+    rows[under] = (steps / div) * ts[under, None]
+    rows += 0.0
+    rows[:, -1] = ts
+    return rows
+
+
 def _kernel_variation(spec, env, ts, u_max, growth):
-    """One evaluation of a_t per profile, on stacked s-rows that each come
-    from their own np.linspace(0, t): one linspace over the t column
-    rounds differently.  The envelope takes math.exp per t, which numpy's
-    exp does not match in the last bit on every input."""
+    """One evaluation of a_t per profile, on stacked s-rows (``_s_rows``).
+    The envelope takes math.exp per t, which numpy's exp does not match
+    in the last bit on every input."""
     w = np.ones(_SIMPSON_PANELS + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     tt = ts[:, None]
-    s_rows = np.array([np.linspace(0.0, t, _SIMPSON_PANELS + 1) for t in ts.tolist()])
+    s_rows = _s_rows(ts, _SIMPSON_PANELS + 1)
     scale = ts / _SIMPSON_PANELS / 3.0
     profiles = np.array([u_max, -u_max])
     integrals = np.column_stack([
@@ -368,16 +382,17 @@ def _kernel_variation(spec, env, ts, u_max, growth):
 def _kernel_monotone(spec, ts, us):
     """The smallest sampled a_u at each t is its margin: the verdict is
     exactly the sign of the minimum.  a_u is evaluated once per block of
-    _MONOTONE_BLOCK t values, on stacked s-rows that each come from their
-    own np.linspace(0, t), and each row's first minimum in (s, u) order
-    is taken, as one evaluation per t took it.  Blocks, because on the
-    fully stacked (201, 51, 41) grid every intermediate array of the
-    evaluator would take 3.4 MB; a block's take about 270 kB."""
+    _MONOTONE_BLOCK t values, on stacked s-rows (``_s_rows``), and each
+    row's first minimum in (s, u) order is taken, as one evaluation per t
+    took it.  Blocks, because on the fully stacked (201, 51, 41) grid
+    every intermediate array of the evaluator would take 3.4 MB; a
+    block's take about 270 kB."""
     shape = (_MONOTONE_S_SAMPLES, len(us))
     minima, s_at, u_at = [], [], []
+    all_rows = _s_rows(ts, _MONOTONE_S_SAMPLES)
     for start in range(0, len(ts), _MONOTONE_BLOCK):
         block = ts[start : start + _MONOTONE_BLOCK]
-        s_rows = np.array([np.linspace(0.0, t, _MONOTONE_S_SAMPLES) for t in block.tolist()])
+        s_rows = all_rows[start : start + _MONOTONE_BLOCK]
         vals = np.broadcast_to(
             evaluate(spec.a_u, {"t": block[:, None, None], "s": s_rows[:, :, None], "u": us}),
             (len(block),) + shape,

@@ -1,5 +1,5 @@
-"""A seeded corpus of solves or certificate searches, one line per case,
-for parity checks.
+"""A seeded corpus of solves, certificate searches or CSV cells, one line
+per case, for parity checks.
 
 Run it on two commits and diff the outputs:
 
@@ -35,6 +35,12 @@ at random, amplitudes 0, O(1), 10^U(-300, 308) or 1e308, rates of
 either sign or 0, and initial values 0, 5e-324, O(1) or up to 1e308.
 The sha256 of the first 2 000 lines of seed 1 is pinned in
 ``test_parity.py``.
+
+With ``--operation format`` each case is a block of 10 000 seeded doubles
+(``format_values``), written once by Python's ``"%.17g"`` and once by the
+CSV writer's numpy routine, one value a line.  Its line holds, tab-
+separated: the block id and the sha256 of each text.  The two digests of
+a line must be equal on any platform and numpy build.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ import argparse
 import hashlib
 import random
 import sys
+
+import numpy as np
 
 from volterrabound import (
     ExponentialDecayData,
@@ -54,6 +62,7 @@ from volterrabound import (
     search_power,
     solve,
 )
+from volterrabound.ioutil import _cells, _rows_text
 from volterrabound.solver import _BLOWUP_CAP, _status_fields
 
 # The envelope does not enter a solve.
@@ -202,7 +211,62 @@ def search_line(seed: int, index: int) -> str:
     return "\t".join(map(str, fields))
 
 
-OPERATIONS = {"solve": solve_line, "search": search_line}
+_TENS = np.array([float(f"1e{k}") for k in range(-300, 300)])
+_STEPS = [1e-3, 0.01, 0.04, 0.1, 1 / 3, 0.0006666666666666666]
+_SPECIALS = [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -5e-324,
+             sys.float_info.max, -sys.float_info.max, sys.float_info.min]
+
+
+def _near_ties(rng, count):
+    """Doubles x whose V = x * 10^k = m * 5^k / 2^s, the digits that
+    "%.17g" rounds, lies 1/2^s or 3/2^s from a tie, with s = 47 ... 53:
+    closer than the numpy routine's arithmetic resolves, for k = 23 ... 26,
+    where 10^k is not a double."""
+    values = []
+    while len(values) < count:
+        k, s = int(rng.integers(23, 27)), int(rng.integers(47, 54))
+        m = ((1 << (s - 1)) + int(rng.choice([-3, -1, 1, 3]))) * pow(5**k, -1, 1 << s) % (1 << s)
+        if 10**16 << s <= m * 5**k < 10**17 << s:
+            values.append(m * 2.0 ** -(k + s))
+    return values
+
+
+def format_values(seed: int, block: int) -> np.ndarray:
+    """Block ``block`` of ``seed``: 10 000 doubles in a seeded order.  4 000
+    random bit patterns; 1 500 grid times i*h and 1 500 values of either
+    sign from 1e-20 to 1e20, the program's ranges; 1 000 integers 2^53 ...
+    2^54 scaled by 2^-60 ... 2^60; 800 exact ties, odd q * 2^-j whose
+    decimal expansion has 18 digits, the last a 5, and 200 near-ties
+    (``_near_ties``); 300 powers of ten from 1e-300 to 1e299, each with
+    both neighbours; and 100 of +-0, +-inf, nan, +-5e-324, +-the largest
+    float and the smallest normal one."""
+    rng = np.random.default_rng([seed, block])
+    tens = _TENS[rng.integers(0, len(_TENS), 300)]
+    j = rng.integers(2, 26, 800)
+    odd = rng.integers(-(-(10**17) // 5**j), np.minimum(10**18 // 5**j, 2**53 - 1)) | 1
+    values = np.concatenate([
+        rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64),
+        rng.integers(0, 200_001, 1500) * rng.choice(_STEPS, 1500),
+        rng.uniform(-1.0, 1.0, 1500) * 10.0 ** rng.uniform(-20.0, 20.0, 1500),
+        np.ldexp(rng.integers(2**53, 2**54, 1000).astype(float), rng.integers(-60, 61, 1000)),
+        np.ldexp(odd.astype(float), -j),
+        _near_ties(rng, 200),
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        np.resize(_SPECIALS, 100),
+    ])
+    return rng.permutation(values)
+
+
+def format_line(seed: int, index: int) -> str:
+    values = format_values(seed, index)
+    python = "".join("%.17g\n" % v for v in values.tolist())
+    cells, ends = _cells(values)
+    numpy = _rows_text(cells[:, None], ends[:, None], len(values), 1)
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in (python, numpy)]
+    return "\t".join([str(index)] + digests)
+
+
+OPERATIONS = {"solve": solve_line, "search": search_line, "format": format_line}
 
 
 def main(argv=None) -> int:

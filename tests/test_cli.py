@@ -81,9 +81,9 @@ def test_certify_refuses_when_the_state_amplitudes_overflow(tmp_path, capsys):
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
-    # The atomic write goes through a temporary file, which is created
-    # 0600; the output must still get 0666 less the umask, as a plain
-    # open() would give it.
+    # The atomic write goes through a temporary file, created 0666 less
+    # the umask as a plain open() creates it, and renamed into place: the
+    # output keeps that mode.
     problem = write_problem(tmp_path / "p.json", ATAN_PROBLEM)
     out = tmp_path / "out"
     previous = os.umask(umask)

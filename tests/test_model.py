@@ -16,7 +16,7 @@ from volterrabound import (
     validate_decay,
 )
 from volterrabound.expr import EvalDomainError, ExprSyntaxError
-from volterrabound.model import _kernel_monotone
+from volterrabound.model import _kernel_monotone, _s_rows
 
 from conftest import ATAN_PROBLEM, QUADRATIC_PROBLEM, count_evaluations, write_problem
 
@@ -254,6 +254,20 @@ def test_kernel_variation_evaluates_once_per_profile(atan_spec, monkeypatch):
     calls = count_evaluations(monkeypatch)
     validate_decay(atan_spec, t_max=50.0, u_max=10.0)
     assert calls["array"] <= 2 + 1 + 2 + 13
+
+
+@pytest.mark.parametrize("count", [201, 51])
+def test_s_rows_are_per_row_linspace_bit_for_bit(count):
+    # Rows at 300 seeded t from 1e-320 to 1e308, and validate_decay's whole
+    # t grid for t_max = 50, for t_max whose steps underflow (1e-310,
+    # 5e-322) and for the largest t_max: numpy takes its zero-step branch
+    # in the rows where t / (count - 1) underflows to 0.
+    rng = np.random.default_rng(20)
+    grids = [10.0 ** rng.uniform(-320.0, 308.0, 300)]
+    grids += [np.linspace(0.0, t_max, 201) for t_max in (50.0, 1e-310, 5e-322, 1.7e308)]
+    for ts in grids:
+        expected = np.array([np.linspace(0.0, t, count) for t in ts.tolist()])
+        assert _s_rows(ts, count).tobytes() == expected.tobytes()
 
 
 def kernel_monotone_by_loop(spec, ts, us):
